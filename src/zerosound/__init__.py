@@ -8,7 +8,6 @@ independent discrete oracles (a secular eigenproblem and direct kinetic
 time evolution with spectral peak extraction).
 """
 
-from ._kernels import BACKEND
 from .dispersion import (
     BranchScan,
     GridSpec,
@@ -31,6 +30,7 @@ from .errors import (
     ZeroSoundError,
 )
 from .kinetic import (
+    BACKEND,
     AngularGrid,
     AngularState,
     SpectralPeak,

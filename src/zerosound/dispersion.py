@@ -13,8 +13,10 @@ representable root.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
+from ._roots import increasing_root
 from .errors import (
     ConvergenceError,
     DomainError,
@@ -42,6 +44,8 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
+# smallest coupling whose weak-coupling exponent -2 - 2/A is finite
+_MIN_COUPLING = math.nextafter(2.0 / sys.float_info.max, 1.0)
 
 
 @dataclass(frozen=True)
@@ -122,6 +126,17 @@ def _residual_log(v, a):
     return 1.0 - a * _kernel_from_log_excess(v)
 
 
+def _positive_coupling(coupling):
+    c = as_coupling(coupling)
+    if c.A <= 0.0:
+        raise NoUndampedRootError(f"no undamped mode for A <= 0 (A = {c.A!r})")
+    if c.A < _MIN_COUPLING:
+        raise InvalidArgumentError(
+            f"A = {c.A!r} is below the smallest supported coupling {_MIN_COUPLING!r} (2/A overflows)"
+        )
+    return c
+
+
 def _point_from_log_excess(c, v, residual, method):
     u = math.exp(v)  # may underflow; S then rounds to the band edge
     return DispersionPoint(
@@ -141,11 +156,11 @@ def asymptotic_zero_sound(coupling):
 
     Valid for A << 1 but evaluable for any A > 0; the log of the excess is
     kept exactly so the point stays meaningful when 2 exp(-2 - 2/A)
-    underflows (A below about 0.0029).
+    underflows (A below about 0.0029), down to the smallest supported
+    coupling 1.112536929253601e-308, below which 2/A overflows and
+    InvalidArgumentError is raised.
     """
-    c = as_coupling(coupling)
-    if c.A <= 0.0:
-        raise NoUndampedRootError(f"no undamped mode for A <= 0 (A = {c.A!r})")
+    c = _positive_coupling(coupling)
     exponent = -2.0 - 2.0 / c.A
     excess = 2.0 * math.exp(exponent)
     v = _LN2 + exponent
@@ -167,13 +182,13 @@ def solve_zero_sound(coupling, config=None):
     Bisection on v = ln(S - 1) from an analytic starting bracket, narrowed
     to width 1e-15 and polished with one secant step.  Below
     config.asymptotic_switch_A the closed-form branch is returned directly.
-    Raises NoUndampedRootError for A <= 0 and ConvergenceError if the
-    residual target is missed within the iteration budget.
+    Raises NoUndampedRootError for A <= 0, InvalidArgumentError below the
+    smallest supported coupling (see asymptotic_zero_sound) and
+    ConvergenceError if the residual target is missed within the
+    iteration budget.
     """
-    c = as_coupling(coupling)
+    c = _positive_coupling(coupling)
     cfg = config if config is not None else SolverConfig()
-    if c.A <= 0.0:
-        raise NoUndampedRootError(f"no undamped mode for A <= 0 (A = {c.A!r})")
     if c.A < cfg.asymptotic_switch_A:
         return asymptotic_zero_sound(c)
 
@@ -182,47 +197,13 @@ def solve_zero_sound(coupling, config=None):
     v_lo = (_LN2 - 2.0 - 2.0 / a) - 1.0
     # upper end: past the strong-coupling estimate S ~ 2 sqrt(A/3)
     v_hi = math.log(max(10.0, 2.0 * math.sqrt(a / 3.0) + 2.0) - 1.0)
-    r_lo = _residual_log(v_lo, a)
-    r_hi = _residual_log(v_hi, a)
-    guard = 0
-    while r_lo >= 0.0:  # residual increases in v, so push the bracket down
-        v_lo -= 4.0
-        r_lo = _residual_log(v_lo, a)
-        guard += 1
-        if guard > 60:
-            raise ConvergenceError(f"no sign change below the band edge for A = {a!r}", (v_lo, v_hi))
-    guard = 0
-    while r_hi <= 0.0:
-        v_hi += 1.0
-        r_hi = _residual_log(v_hi, a)
-        guard += 1
-        if guard > 60:
-            raise ConvergenceError(f"no sign change at large S for A = {a!r}", (v_lo, v_hi))
-
-    for _ in range(cfg.max_iterations):
-        if v_hi - v_lo <= 1e-15:
-            break
-        v_mid = 0.5 * (v_lo + v_hi)
-        if not (v_lo < v_mid < v_hi):
-            break  # interval no longer splittable in floating point
-        r_mid = _residual_log(v_mid, a)
-        if r_mid < 0.0:
-            v_lo, r_lo = v_mid, r_mid
-        else:
-            v_hi, r_hi = v_mid, r_mid
-
-    candidates = [(abs(r_lo), v_lo, r_lo), (abs(r_hi), v_hi, r_hi)]
-    if r_hi != r_lo:
-        v_sec = v_lo - r_lo * (v_hi - v_lo) / (r_hi - r_lo)
-        if math.isfinite(v_sec):
-            r_sec = _residual_log(v_sec, a)
-            candidates.append((abs(r_sec), v_sec, r_sec))
-    _, v_best, r_best = min(candidates)
-
+    v_best, r_best, bracket = increasing_root(
+        lambda v: _residual_log(v, a), v_lo, v_hi, cfg.max_iterations, f"ln(S - 1) at A = {a!r}"
+    )
     if not abs(r_best) <= cfg.tolerance:
         raise ConvergenceError(
             f"residual {r_best!r} above tolerance {cfg.tolerance!r} for A = {a!r}",
-            (v_lo, v_hi),
+            bracket,
         )
     return _point_from_log_excess(c, v_best, r_best, Method.EXACT)
 

@@ -5,9 +5,11 @@ mu_i = cos(theta_i),
 
     dF_i/dt = -i mu_i (F_i + A <F>),      <F> = (1/2) sum_j w_j F_j,
 
-gives two cross-checks of the analytic dispersion relation that share no
-code with it: the discrete secular equation (a matrix eigenproblem in
-disguise) and direct time evolution followed by spectral estimation.
+gives two cross-checks of the analytic dispersion relation: the discrete
+secular equation (a matrix eigenproblem in disguise) and direct time
+evolution followed by spectral estimation.  The secular root shares only
+the generic bracketed root-finder with the exact solver, never a kernel
+evaluation; the time-domain oracle (one numpy RK4 loop) shares nothing.
 S and frequency are in continuum-edge units (time in 1/(k v_F)), so the
 collective line of the evolved signal sits at omega = S.
 """
@@ -16,11 +18,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
-from ._kernels import BACKEND, evolve_trace
+from ._roots import increasing_root
 from .errors import (
-    ConvergenceError,
     InvalidArgumentError,
     NoCollectivePeakError,
     NumericalBlowupError,
@@ -40,6 +40,9 @@ __all__ = [
     "spectral_peak",
     "BACKEND",
 ]
+
+# the time evolution has a single implementation, the numpy loop below
+BACKEND = "numpy"
 
 
 @dataclass(frozen=True)
@@ -78,8 +81,8 @@ def discrete_collective_root(coupling, grid):
     """Root S of the secular equation 1 = A * secular_sum(S) above all nodes.
 
     The secular function decreases monotonically from +inf at the largest
-    node to 0 at infinity, so the root is bracketed and found with a
-    standard safeguarded solver.
+    node to 0 at infinity, so the root is bracketed and found by bisection
+    with a secant polish in w = ln(S - mu_max).
     """
     c = as_coupling(coupling)
     if c.A <= 0.0:
@@ -89,24 +92,13 @@ def discrete_collective_root(coupling, grid):
     a = c.A
     mu_max = float(grid.nodes[-1])
 
-    def g(S):
-        return a * secular_sum(S, grid) - 1.0
+    def h(w):
+        return 1.0 - a * secular_sum(mu_max + math.exp(w), grid)
 
-    lo = mu_max + 1e-12
-    guard = 0
-    while g(lo) <= 0.0:  # pole term should dominate; tighten toward the node
-        lo = mu_max + (lo - mu_max) * 0.01
-        guard += 1
-        if guard > 10:
-            raise ConvergenceError(f"no sign change near the largest node for A = {a!r}")
-    hi = max(10.0, 2.0 * math.sqrt(a / 3.0) + 2.0)
-    guard = 0
-    while g(hi) >= 0.0:
-        hi *= 2.0
-        guard += 1
-        if guard > 60:
-            raise ConvergenceError(f"no sign change at large S for A = {a!r}")
-    return float(brentq(g, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200))
+    w_lo = math.log(1e-12)
+    w_hi = math.log(max(10.0, 2.0 * math.sqrt(a / 3.0) + 2.0) - mu_max)
+    w, _, _ = increasing_root(h, w_lo, w_hi, 200, f"ln(S - mu_max) at A = {a!r}")
+    return mu_max + math.exp(w)
 
 
 @dataclass(frozen=True)
@@ -153,6 +145,26 @@ def stability_bound(coupling):
     return 0.1 / (1.0 + as_coupling(coupling).A)
 
 
+def _rk4_trace(y0, mu, half_w, a, dt, steps):
+    # dy_i/dt = -i mu_i (y_i + a <y>), <y> = sum_j half_w_j y_j
+    imu = -1j * mu
+    sixth = dt / 6.0
+    trace = np.empty(steps + 1, dtype=np.complex128)
+    y = y0.copy()
+    trace[0] = half_w @ y
+    for step in range(steps):
+        k1 = imu * (y + a * (half_w @ y))
+        t1 = y + (0.5 * dt) * k1
+        k2 = imu * (t1 + a * (half_w @ t1))
+        t2 = y + (0.5 * dt) * k2
+        k3 = imu * (t2 + a * (half_w @ t2))
+        t3 = y + dt * k3
+        k4 = imu * (t3 + a * (half_w @ t3))
+        y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        trace[step + 1] = half_w @ y
+    return trace
+
+
 def evolve_initial_value(coupling, grid, initial, dt, steps):
     """Integrate the node amplitudes with classical RK4, tracing <F>(t).
 
@@ -175,7 +187,7 @@ def evolve_initial_value(coupling, grid, initial, dt, steps):
     y0 = np.ascontiguousarray(initial.values, dtype=np.complex128)
     half_w = np.ascontiguousarray(0.5 * grid.weights)
     mu = np.ascontiguousarray(grid.nodes)
-    trace = evolve_trace(y0, mu, half_w, c.A, float(dt), int(steps))
+    trace = _rk4_trace(y0, mu, half_w, c.A, float(dt), int(steps))
     if not np.all(np.isfinite(trace.view(np.float64))):
         raise NumericalBlowupError(f"evolution produced non-finite values (dt = {dt!r}, A = {c.A!r})")
     return TimeSeries(dt=float(dt), samples=trace)

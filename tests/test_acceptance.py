@@ -12,6 +12,7 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 from scipy.integrate import quad
@@ -213,9 +214,12 @@ def test_criterion_8_dimensionless_invariance():
     )
 
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
 def _cli(*args):
     env = dict(os.environ)
-    env["ZEROSOUND_DISABLE_NUMBA"] = "1"
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "zerosound", *args],
         capture_output=True, text=True, env=env,

@@ -4,18 +4,20 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from zerosound import DispersionPoint, InteractionModel, coupling_strength, solve_zero_sound
+from zerosound.cli import main
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 SCAN_HEADER = "k_lambda_d,Q0,A,S,S_minus_1,omega_over_k_vF,method,residual"
 
 
 def run_cli(*args, env_extra=None):
     env = dict(os.environ)
-    # the small problems exercised here do not pay back a JIT warmup
-    env["ZEROSOUND_DISABLE_NUMBA"] = "1"
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
@@ -66,6 +68,15 @@ class TestSolve:
     def test_bad_flag_exit_code(self):
         proc = run_cli("solve", "--Q0", "nan")
         assert proc.returncode == 2
+
+    def test_coupling_below_smallest_supported_exit_code(self, capsys):
+        for switch in ("0.06", "0"):
+            assert main(["solve", "--Q0", "1e-309", "--switch-a", switch]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            err = json.loads(captured.err)
+            assert err["error"] == "invalid-argument"
+            assert "smallest supported coupling" in err["message"]
 
     def test_bad_params_file_exit_codes(self, tmp_path):
         path = tmp_path / "p.txt"

@@ -146,6 +146,26 @@ class TestSolveZeroSound:
         assert point.S_minus_1 == 0.0
         assert point.log_excess == pytest.approx(math.log(2.0) - 2002.0, rel=1e-15)
         assert point.above_continuum
+        # the exact path too, where ln(S - 1) ~ -2/A outgrows any fixed bracket step
+        exact = SolverConfig(asymptotic_switch_A=0.0)
+        for a in (1e-17, 1e-100, 1e-300, 1.2e-308):
+            point = solve_zero_sound(a, exact)
+            assert point.method is Method.EXACT
+            assert abs(point.residual) <= 1e-12
+            assert point.log_excess == pytest.approx(math.log(2.0) - 2.0 - 2.0 / a, rel=1e-12)
+            assert point.above_continuum
+
+    def test_coupling_below_the_smallest_supported_is_rejected(self):
+        smallest = 1.112536929253601e-308
+        assert math.isfinite(2.0 / smallest)
+        assert solve_zero_sound(smallest, SolverConfig(asymptotic_switch_A=0.0)).method is Method.EXACT
+        for a in (math.nextafter(smallest, 0.0), 1e-309, 5e-324):
+            assert math.isinf(2.0 / a)
+            for solve in (solve_zero_sound, asymptotic_zero_sound):
+                with pytest.raises(InvalidArgumentError, match="1.112536929253601e-308"):
+                    solve(a)
+            with pytest.raises(InvalidArgumentError):
+                solve_zero_sound(a, SolverConfig(asymptotic_switch_A=0.0))
 
     def test_no_root_for_nonpositive_coupling(self):
         for a in (0.0, -1.0):

@@ -1,10 +1,15 @@
 """Discrete-grid oracles: secular root, time evolution, peak extraction."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import zerosound
 from zerosound import (
     AngularState,
     InvalidArgumentError,
@@ -21,7 +26,8 @@ from zerosound import (
     spectral_peak,
     stability_bound,
 )
-from zerosound._kernels import BACKEND, _evolve_numpy, evolve_trace
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 class TestAngularGrid:
@@ -90,6 +96,20 @@ class TestDiscreteCollectiveRoot:
         eig = np.linalg.eigvals(M)
         count = int(np.sum(eig.real > float(g.nodes[-1]) + 1e-12))
         assert count == 1
+
+    @pytest.mark.parametrize("n", [8, 12, 64, 400])
+    @pytest.mark.parametrize("a", [0.05, 0.5, 1.0, 3.0, 40.0, 300.0, 1000.0])
+    def test_matches_a_reference_bracketing_solver(self, n, a):
+        from scipy.optimize import brentq
+
+        g = build_angular_grid(n)
+        mu_max = float(g.nodes[-1])
+        hi = max(10.0, 2.0 * math.sqrt(a / 3.0) + 2.0)
+        ref = brentq(
+            lambda S: a * secular_sum(S, g) - 1.0,
+            mu_max + 1e-12, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200,
+        )
+        assert discrete_collective_root(a, g) == pytest.approx(ref, rel=2e-15, abs=0.0)
 
     def test_nonpositive_coupling_rejected(self):
         g = build_angular_grid(8)
@@ -168,19 +188,18 @@ class TestEvolve:
             evolve_initial_value(1.0, g, state, 0.05, 2)
 
 
-class TestBackends:
-    def test_selected_backend_is_reported(self):
-        assert BACKEND in ("numba", "numpy")
-
-    @pytest.mark.skipif(BACKEND != "numba", reason="compiled backend not active")
-    def test_backends_agree(self):
-        g = build_angular_grid(48)
-        y0 = np.exp(1j * np.linspace(0.0, 2.0, 48)).astype(np.complex128)
-        mu = np.ascontiguousarray(g.nodes)
-        half_w = np.ascontiguousarray(0.5 * g.weights)
-        fast = evolve_trace(y0.copy(), mu, half_w, 2.5, 0.02, 2000)
-        slow = _evolve_numpy(y0.copy(), mu, half_w, 2.5, 0.02, 2000)
-        assert np.allclose(fast, slow, rtol=1e-12, atol=1e-13)
+class TestRuntimeDependencies:
+    def test_import_loads_numpy_only(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        probe = (
+            "import sys, zerosound; "
+            "print(sorted(m for m in ('scipy', 'numba') if m in sys.modules), zerosound.BACKEND)"
+        )
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["[]", "numpy"]
+        assert zerosound.BACKEND == "numpy"
 
 
 def _tone(omega, n, dt):
