@@ -233,13 +233,17 @@ def run_scan(args):
     return 0
 
 
-def run_simulate(args):
-    coupling = coupling_strength(InteractionModel(args.Q0), args.k_lambda)
+def _time_domain(coupling, args, amplitude):
     grid = build_angular_grid(args.n_mu)
     dt = args.dt if args.dt is not None else stability_bound(coupling)
-    state = AngularState(np.full(grid.size, args.amplitude, dtype=np.complex128))
+    state = AngularState(np.full(grid.size, amplitude, dtype=np.complex128))
     series = evolve_initial_value(coupling, grid, state, dt, args.steps)
-    peak = spectral_peak(series, window=args.window)
+    return series, spectral_peak(series, window=args.window)
+
+
+def run_simulate(args):
+    coupling = coupling_strength(InteractionModel(args.Q0), args.k_lambda)
+    series, peak = _time_domain(coupling, args, args.amplitude)
     reference = solve_zero_sound(coupling, _solver_config(args))
 
     lines = ["t,re_density,im_density,abs_density"]
@@ -254,7 +258,7 @@ def run_simulate(args):
         "k_lambda_d": coupling.k_lambda_d,
         "Q0": coupling.Q0,
         "A": coupling.A,
-        "n_mu": grid.size,
+        "n_mu": args.n_mu,
         "dt": series.dt,
         "steps": args.steps,
         "window": args.window,
@@ -299,11 +303,7 @@ def _compare_rows(args):
         return s, s - 1.0, s > 1.0
 
     def time_domain():
-        grid = build_angular_grid(args.n_mu)
-        dt = args.dt if args.dt is not None else stability_bound(coupling)
-        state = AngularState(np.full(grid.size, 1.0, dtype=np.complex128))
-        series = evolve_initial_value(coupling, grid, state, dt, args.steps)
-        s = spectral_peak(series, window=args.window).frequency
+        s = _time_domain(coupling, args, 1.0)[1].frequency
         return s, s - 1.0, s > 1.0
 
     rows = []

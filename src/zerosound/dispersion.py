@@ -22,6 +22,7 @@ from .errors import (
     DomainError,
     InvalidArgumentError,
     NoUndampedRootError,
+    ZeroSoundError,
 )
 from .model import (
     DispersionPoint,
@@ -90,10 +91,14 @@ def _kernel_series(S):
         j += 1
 
 
+def _kernel_near_edge(u, ln_u):
+    # F(1 + u) from the excess u and its log, which stays exact when u underflows
+    return 0.5 * (1.0 + u) * (math.log1p(1.0 + u) - ln_u) - 1.0
+
+
 def _kernel_from_log_excess(v):
     # F(1 + e^v) for v <= 0, stable down to v ~ -1e308; exp may underflow to 0
-    u = math.exp(v)
-    return 0.5 * (1.0 + u) * (math.log1p(1.0 + u) - v) - 1.0
+    return _kernel_near_edge(math.exp(v), v)
 
 
 def landau_kernel(S):
@@ -110,7 +115,7 @@ def landau_kernel(S):
     if S >= 2.0:
         return _kernel_series(S)
     u = S - 1.0  # exact: S in (1, 2)
-    return 0.5 * (1.0 + u) * (math.log1p(1.0 + u) - math.log(u)) - 1.0
+    return _kernel_near_edge(u, math.log(u))
 
 
 def dispersion_residual(S, coupling):
@@ -294,8 +299,6 @@ class BranchScan:
 
 def branch_scan(model, grid, config=None, params=None):
     """Solve the zero-sound branch on every wavenumber of the grid."""
-    from .errors import ZeroSoundError
-
     points = []
     failures = []
     for k in grid.values():

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, IOFailureError
 
 __all__ = [
     "FermiParameters",
@@ -213,8 +213,6 @@ def load_parameter_file(path):
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
     except OSError as exc:
-        from .errors import IOFailureError
-
         raise IOFailureError(f"cannot read parameter file {path}: {exc}") from exc
 
     values = {}

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -178,6 +179,20 @@ class TestSimulate:
         proc = run_cli("simulate", "--Q0", "1", "--steps", "1", "--out", str(tmp_path / "t.csv"))
         assert proc.returncode == 2
 
+    def test_blowup_is_one_json_line(self, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        with warnings.catch_warnings():
+            # a floating-point warning from the overflow would reach stderr
+            warnings.simplefilter("error")
+            code = main(["simulate", "--Q0", "1", "--amplitude", "1e308", "--steps", "64",
+                         "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 7
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert json.loads(captured.err)["error"] == "numerical-blowup"
+        assert not out.exists()
+
 
 class TestCompare:
     def test_all_methods_reported(self):
@@ -213,6 +228,14 @@ class TestCompare:
         asym = lines[2].split(",")
         assert exact[1] == asym[1]  # identical S text, hence identical bytes
         assert float(exact[6]) == 0.0  # deviation against the asymptotic row
+
+    def test_time_domain_row_is_the_simulate_peak(self, tmp_path, capsys):
+        flags = ["--Q0", "1", "--n-mu", "32", "--steps", "2048"]
+        assert main(["simulate", *flags, "--out", str(tmp_path / "t.csv")]) == 0
+        peak = json.loads(capsys.readouterr().out)["peak_frequency"]
+        assert main(["compare", *flags, "--format", "json"]) == 0
+        rows = {row["method"]: row for row in json.loads(capsys.readouterr().out)["rows"]}
+        assert rows["time-domain"]["S"] == peak
 
     def test_json_format(self):
         proc = run_cli("compare", "--Q0", "300", "--n-mu", "100", "--steps", "2048",

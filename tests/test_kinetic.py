@@ -58,6 +58,25 @@ def _reference_rule(n, digits=40):
         return [x for x, _ in rule], [w for _, w in rule]
 
 
+def _four_stage_rk4_trace(y, mu, half_w, a, dt, steps):
+    """Classical RK4 written out stage by stage: the reference for the evolver."""
+    imu = -1j * mu
+    sixth = dt / 6.0
+    trace = np.empty(steps + 1, dtype=np.complex128)
+    trace[0] = half_w @ y
+    for step in range(steps):
+        k1 = imu * (y + a * (half_w @ y))
+        t1 = y + (0.5 * dt) * k1
+        k2 = imu * (t1 + a * (half_w @ t1))
+        t2 = y + (0.5 * dt) * k2
+        k3 = imu * (t2 + a * (half_w @ t2))
+        t3 = y + dt * k3
+        k4 = imu * (t3 + a * (half_w @ t3))
+        y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        trace[step + 1] = half_w @ y
+    return trace
+
+
 class TestAngularGrid:
     def test_measure_normalization(self):
         g = build_angular_grid(4)
@@ -242,6 +261,17 @@ class TestEvolve:
         state = AngularState(np.full(8, 1e308, dtype=np.complex128))
         with pytest.raises(NumericalBlowupError):
             evolve_initial_value(1.0, g, state, 0.05, 2)
+
+    @pytest.mark.parametrize("n", [33, 128, 400])  # 33: the odd grid's mu = 0 node
+    @pytest.mark.parametrize("a", [0.05, 1.0, 100.0])
+    def test_matches_classical_four_stage_rk4(self, n, a):
+        g = build_angular_grid(n)
+        rng = np.random.default_rng(n)
+        y0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        dt = stability_bound(a)
+        out = evolve_initial_value(a, g, AngularState(y0), dt, 2048)
+        ref = _four_stage_rk4_trace(y0, g.nodes, 0.5 * g.weights, a, dt, 2048)
+        assert float(np.max(np.abs(out.samples - ref))) <= 1e-12
 
 
 class TestRuntimeDependencies:
