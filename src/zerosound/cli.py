@@ -72,10 +72,6 @@ def _json_object(pairs):
     return "{" + ",".join(parts) + "}"
 
 
-def _point_json(point):
-    return _json_object(point.to_json_dict())
-
-
 def _write_text(path, text):
     if path is None:
         sys.stdout.write(text)
@@ -115,8 +111,10 @@ def build_parser():
                               help="bisection iteration budget (default 200)")
     solver_flags.add_argument("--switch-a", type=_finite_float, default=0.06,
                               help="coupling below which the closed weak-coupling form is used")
-    solver_flags.add_argument("--params-file", default=None, metavar="PATH",
-                              help="key = value file with m, m_star, p_F, n0, hbar")
+    # simulate has no physical-unit output, so it takes no parameter file
+    params_flag = argparse.ArgumentParser(add_help=False)
+    params_flag.add_argument("--params-file", default=None, metavar="PATH",
+                             help="key = value file with m, m_star, p_F, n0, hbar")
 
     parser = argparse.ArgumentParser(
         prog="zerosound",
@@ -124,13 +122,13 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_solve = sub.add_parser("solve", parents=[solver_flags],
+    p_solve = sub.add_parser("solve", parents=[solver_flags, params_flag],
                              help="solve the dispersion relation at one (Q0, k)")
     p_solve.add_argument("--Q0", type=_finite_float, required=True)
     p_solve.add_argument("--k-lambda", type=_finite_float, default=0.0,
                          help="wavenumber times the de Broglie length (default 0)")
 
-    p_scan = sub.add_parser("scan", parents=[solver_flags],
+    p_scan = sub.add_parser("scan", parents=[solver_flags, params_flag],
                             help="tabulate the branch over a wavenumber grid as CSV")
     p_scan.add_argument("--Q0", type=_finite_float, required=True)
     p_scan.add_argument("--k-min", type=_finite_float, required=True)
@@ -153,7 +151,7 @@ def build_parser():
                        help="initial isotropic amplitude")
     p_sim.add_argument("--out", required=True, metavar="PATH", help="time-series CSV path")
 
-    p_cmp = sub.add_parser("compare", parents=[solver_flags],
+    p_cmp = sub.add_parser("compare", parents=[solver_flags, params_flag],
                            help="cross-check every method at one (Q0, k)")
     p_cmp.add_argument("--Q0", type=_finite_float, required=True)
     p_cmp.add_argument("--k-lambda", type=_finite_float, default=0.0)
@@ -190,14 +188,14 @@ def run_solve(args):
     params = _load_params(args)
     if params is not None:
         point = point.with_omega(params)
-    sys.stdout.write(_point_json(point) + "\n")
+    sys.stdout.write(_json_object(point.to_json_dict()) + "\n")
     return 0
 
 
 _SCAN_HEADER = "k_lambda_d,Q0,A,S,S_minus_1,omega_over_k_vF,method,residual"
 
 
-def _scan_csv(scan, Q0):
+def _scan_csv(scan, model):
     by_k = {p.k_lambda_d: p for p in scan.points}
     lines = [_SCAN_HEADER]
     for k in scan.grid.values():
@@ -206,7 +204,7 @@ def _scan_csv(scan, Q0):
             # the phase velocity over v_F is S itself in these units
             cells = (p.k_lambda_d, p.Q0, p.A, p.S, p.S_minus_1, p.S, p.method.value, p.residual)
         else:
-            cells = (k, Q0, Q0 + 0.75 * k * k, None, None, None, "error", None)
+            cells = (k, model.Q0, coupling_strength(model, k).A, None, None, None, "error", None)
         lines.append(",".join(c if isinstance(c, str) else _fmt(c) for c in cells))
     return "\n".join(lines) + "\n"
 
@@ -227,8 +225,9 @@ def run_scan(args):
         count=args.points,
         spacing="log" if args.log else "linear",
     )
-    scan = branch_scan(InteractionModel(args.Q0), grid, _solver_config(args), _load_params(args))
-    text = _scan_csv(scan, args.Q0) if args.format == "csv" else _scan_json(scan)
+    model = InteractionModel(args.Q0)
+    scan = branch_scan(model, grid, _solver_config(args), _load_params(args))
+    text = _scan_csv(scan, model) if args.format == "csv" else _scan_json(scan)
     _write_text(args.out, text)
     return 0
 
@@ -246,13 +245,11 @@ def run_simulate(args):
     series, peak = _time_domain(coupling, args, args.amplitude)
     reference = solve_zero_sound(coupling, _solver_config(args))
 
-    lines = ["t,re_density,im_density,abs_density"]
-    for i, value in enumerate(series.samples):
-        t = i * series.dt
-        lines.append(
-            f"{_fmt(t)},{_fmt(value.real)},{_fmt(value.imag)},{_fmt(abs(value))}"
-        )
-    _write_text(args.out, "\n".join(lines) + "\n")
+    samples = series.samples
+    columns = (series.times, samples.real, samples.imag, np.abs(samples))
+    rows = zip(*(column.tolist() for column in columns))
+    _write_text(args.out, "t,re_density,im_density,abs_density\n"
+                + "".join("%.17g,%.17g,%.17g,%.17g\n" % row for row in rows))
 
     sys.stdout.write(_json_object({
         "k_lambda_d": coupling.k_lambda_d,
@@ -272,49 +269,36 @@ def run_simulate(args):
     return 0
 
 
-_COMPARE_METHODS = (
-    "exact",
-    "asymptotic-zero-sound",
-    "asymptotic-high-frequency",
-    "matrix-oracle",
-    "time-domain",
-)
+def _point_cells(point):
+    return point.S, point.S_minus_1, point.above_continuum
+
+
+def _oracle_cells(s):
+    return s, s - 1.0, s > 1.0
 
 
 def _compare_rows(args):
     coupling = coupling_strength(InteractionModel(args.Q0), args.k_lambda)
     config = _solver_config(args)
     params = _load_params(args)
-
-    def exact():
-        point = solve_zero_sound(coupling, config)
-        return point.S, point.S_minus_1, point.above_continuum
-
-    def asym_zs():
-        point = asymptotic_zero_sound(coupling)
-        return point.S, point.S_minus_1, point.above_continuum
-
-    def asym_hf():
-        point = high_frequency_branch(args.Q0, args.k_lambda, args.mass_convention, params)
-        return point.S, point.S_minus_1, point.above_continuum
-
-    def matrix():
-        s = discrete_collective_root(coupling, build_angular_grid(args.n_mu))
-        return s, s - 1.0, s > 1.0
-
-    def time_domain():
-        s = _time_domain(coupling, args, 1.0)[1].frequency
-        return s, s - 1.0, s > 1.0
-
+    methods = (
+        ("exact", lambda: _point_cells(solve_zero_sound(coupling, config))),
+        ("asymptotic-zero-sound", lambda: _point_cells(asymptotic_zero_sound(coupling))),
+        ("asymptotic-high-frequency", lambda: _point_cells(
+            high_frequency_branch(args.Q0, args.k_lambda, args.mass_convention, params))),
+        ("matrix-oracle", lambda: _oracle_cells(
+            discrete_collective_root(coupling, build_angular_grid(args.n_mu)))),
+        ("time-domain", lambda: _oracle_cells(_time_domain(coupling, args, 1.0)[1].frequency)),
+    )
     rows = []
-    for label, produce in zip(_COMPARE_METHODS, (exact, asym_zs, asym_hf, matrix, time_domain)):
+    for label, produce in methods:
         try:
             s, excess, above = produce()
-            rows.append({"method": label, "S": s, "S_minus_1": excess,
-                         "above_continuum": above, "error": None})
+            error = None
         except ZeroSoundError as exc:
-            rows.append({"method": label, "S": math.nan, "S_minus_1": math.nan,
-                         "above_continuum": False, "error": exc.label})
+            s, excess, above, error = math.nan, math.nan, False, exc.label
+        rows.append({"method": label, "S": s, "S_minus_1": excess,
+                     "above_continuum": above, "error": error})
     for row in rows:
         row["deviations"] = {
             other["method"]: abs(row["S"] - other["S"]) for other in rows
@@ -323,13 +307,13 @@ def _compare_rows(args):
 
 
 def _compare_csv(rows):
-    dev_names = [m.replace("-", "_") for m in _COMPARE_METHODS]
+    methods = [row["method"] for row in rows]
     header = "method,S,S_minus_1,above_continuum,error," + ",".join(
-        f"dev_{name}" for name in dev_names
+        "dev_" + m.replace("-", "_") for m in methods
     )
     lines = [header]
     for row in rows:
-        devs = ",".join(_fmt(row["deviations"][m]) for m in _COMPARE_METHODS)
+        devs = ",".join(_fmt(row["deviations"][m]) for m in methods)
         lines.append(
             f"{row['method']},{_fmt(row['S'])},{_fmt(row['S_minus_1'])},"
             f"{'true' if row['above_continuum'] else 'false'},{row['error'] or ''},{devs}"

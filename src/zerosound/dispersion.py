@@ -96,11 +96,6 @@ def _kernel_near_edge(u, ln_u):
     return 0.5 * (1.0 + u) * (math.log1p(1.0 + u) - ln_u) - 1.0
 
 
-def _kernel_from_log_excess(v):
-    # F(1 + e^v) for v <= 0, stable down to v ~ -1e308; exp may underflow to 0
-    return _kernel_near_edge(math.exp(v), v)
-
-
 def landau_kernel(S):
     """F(S) = (S/2) ln((S+1)/(S-1)) - 1 for S > 1.
 
@@ -128,7 +123,8 @@ def _residual_log(v, a):
     # residual as a function of v = ln(S - 1); increasing in v
     if v >= 0.0:
         return 1.0 - a * _kernel_series(1.0 + math.exp(v))
-    return 1.0 - a * _kernel_from_log_excess(v)
+    # F(1 + e^v) for v < 0, stable down to v ~ -1e308; exp may underflow to 0
+    return 1.0 - a * _kernel_near_edge(math.exp(v), v)
 
 
 def _positive_coupling(coupling):
@@ -277,10 +273,11 @@ class GridSpec:
         n = self.count
         if self.spacing == "log":
             ratio = math.log(self.k_max / self.k_min)
-            return [self.k_min * math.exp(ratio * i / (n - 1)) for i in range(n)]
-        step = (self.k_max - self.k_min) / (n - 1)
-        ks = [self.k_min + step * i for i in range(n)]
-        ks[-1] = self.k_max  # endpoint exact despite rounding in the sum
+            ks = [self.k_min * math.exp(ratio * i / (n - 1)) for i in range(n)]
+        else:
+            step = (self.k_max - self.k_min) / (n - 1)
+            ks = [self.k_min + step * i for i in range(n)]
+        ks[-1] = self.k_max  # endpoint exact despite rounding
         return ks
 
 

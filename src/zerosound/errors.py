@@ -4,6 +4,17 @@ Each error class carries a stable machine-readable ``label`` and the CLI
 exit code documented in the README.
 """
 
+__all__ = [
+    "ZeroSoundError",
+    "InvalidArgumentError",
+    "DomainError",
+    "NoUndampedRootError",
+    "ConvergenceError",
+    "NoCollectivePeakError",
+    "IOFailureError",
+    "NumericalBlowupError",
+]
+
 
 class ZeroSoundError(Exception):
     """Base class for all toolkit errors."""

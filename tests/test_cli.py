@@ -1,4 +1,9 @@
-"""End-to-end command-line behavior through real subprocess invocations."""
+"""End-to-end command-line behavior.
+
+Most cases call ``main(argv)`` in this process; the ones that check the
+``python -m zerosound`` entry point itself (exit-code propagation, fresh
+process determinism) run it as a subprocess.
+"""
 
 import json
 import os
@@ -30,34 +35,32 @@ def run_cli(*args, env_extra=None):
 
 
 class TestSolve:
-    def test_pure_interaction(self):
-        proc = run_cli("solve", "--Q0", "1", "--k-lambda", "0")
-        assert proc.returncode == 0
-        data = json.loads(proc.stdout)
+    def test_pure_interaction(self, capsys):
+        assert main(["solve", "--Q0", "1", "--k-lambda", "0"]) == 0
+        data = json.loads(capsys.readouterr().out)
         assert data["method"] == "exact"
         assert data["A"] == 1.0
         assert data["S"] == pytest.approx(1.0443820337608335, rel=1e-13)
         assert data["omega"] is None
 
-    def test_quantum_underflow_path(self):
-        proc = run_cli("solve", "--Q0", "0", "--k-lambda", "0.1")
-        assert proc.returncode == 0
-        data = json.loads(proc.stdout)
+    def test_quantum_underflow_path(self, capsys):
+        assert main(["solve", "--Q0", "0", "--k-lambda", "0.1"]) == 0
+        data = json.loads(capsys.readouterr().out)
         assert data["method"] == "asymptotic-zero-sound"
         assert data["S_minus_1"] == pytest.approx(4.1742570659665503e-117, rel=1e-14)
         assert data["log_excess"] < -200.0
 
-    def test_round_trip_is_lossless(self):
-        proc = run_cli("solve", "--Q0", "3", "--k-lambda", "0.7")
-        recovered = DispersionPoint.from_json_dict(json.loads(proc.stdout))
+    def test_round_trip_is_lossless(self, capsys):
+        main(["solve", "--Q0", "3", "--k-lambda", "0.7"])
+        recovered = DispersionPoint.from_json_dict(json.loads(capsys.readouterr().out))
         direct = solve_zero_sound(coupling_strength(InteractionModel(3.0), 0.7))
         assert recovered == direct
 
-    def test_params_file_restores_units(self, tmp_path):
+    def test_params_file_restores_units(self, tmp_path, capsys):
         path = tmp_path / "p.txt"
         path.write_text("m = 1\nm_star = 1\np_F = 1\nn0 = 1\nhbar = 1\n")
-        proc = run_cli("solve", "--Q0", "1", "--k-lambda", "0.5", "--params-file", str(path))
-        data = json.loads(proc.stdout)
+        main(["solve", "--Q0", "1", "--k-lambda", "0.5", "--params-file", str(path)])
+        data = json.loads(capsys.readouterr().out)
         assert data["omega"] == pytest.approx(data["S"] * 0.5, rel=1e-15)
 
     def test_no_root_exit_code(self):
@@ -67,8 +70,9 @@ class TestSolve:
         assert err["error"] == "no-undamped-root"
 
     def test_bad_flag_exit_code(self):
-        proc = run_cli("solve", "--Q0", "nan")
-        assert proc.returncode == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--Q0", "nan"])
+        assert exc.value.code == 2
 
     def test_coupling_below_smallest_supported_exit_code(self, capsys):
         for switch in ("0.06", "0"):
@@ -82,18 +86,15 @@ class TestSolve:
     def test_bad_params_file_exit_codes(self, tmp_path):
         path = tmp_path / "p.txt"
         path.write_text("m = 1\nunknown = 2\n")
-        proc = run_cli("solve", "--Q0", "1", "--params-file", str(path))
-        assert proc.returncode == 2
-        proc = run_cli("solve", "--Q0", "1", "--params-file", str(tmp_path / "absent.txt"))
-        assert proc.returncode == 6
+        assert main(["solve", "--Q0", "1", "--params-file", str(path)]) == 2
+        assert main(["solve", "--Q0", "1", "--params-file", str(tmp_path / "absent.txt")]) == 6
 
 
 class TestScan:
     def test_row_count_and_header(self, tmp_path):
         out = tmp_path / "scan.csv"
-        proc = run_cli("scan", "--Q0", "0", "--k-min", "0.1", "--k-max", "2.0",
-                       "--points", "10", "--out", str(out))
-        assert proc.returncode == 0
+        assert main(["scan", "--Q0", "0", "--k-min", "0.1", "--k-max", "2.0",
+                     "--points", "10", "--out", str(out)]) == 0
         lines = out.read_text().splitlines()
         assert len(lines) == 11
         assert lines[0] == SCAN_HEADER
@@ -106,53 +107,69 @@ class TestScan:
         run_cli(*args, "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
 
-    def test_stdout_matches_file(self, tmp_path):
+    def test_stdout_matches_file(self, tmp_path, capsys):
         out = tmp_path / "scan.csv"
-        args = ("scan", "--Q0", "1", "--k-min", "0.2", "--k-max", "0.8", "--points", "4")
-        run_cli(*args, "--out", str(out))
-        proc = run_cli(*args)
-        assert proc.stdout == out.read_text()
+        args = ["scan", "--Q0", "1", "--k-min", "0.2", "--k-max", "0.8", "--points", "4"]
+        main([*args, "--out", str(out)])
+        main(args)
+        assert capsys.readouterr().out == out.read_text()
 
-    def test_quantum_scan_monotone_in_k(self):
-        proc = run_cli("scan", "--Q0", "0", "--k-min", "0.1", "--k-max", "2.0", "--points", "10")
-        rows = [line.split(",") for line in proc.stdout.splitlines()[1:]]
+    def test_quantum_scan_monotone_in_k(self, capsys):
+        main(["scan", "--Q0", "0", "--k-min", "0.1", "--k-max", "2.0", "--points", "10"])
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
         S = [float(r[3]) for r in rows]
         assert S == sorted(S)
         excess = [float(r[4]) for r in rows]
         assert all(b > a for a, b in zip(excess, excess[1:]))
 
-    def test_phase_velocity_column_echoes_S(self):
-        proc = run_cli("scan", "--Q0", "2", "--k-min", "0.5", "--k-max", "1.0", "--points", "3")
-        for line in proc.stdout.splitlines()[1:]:
+    def test_phase_velocity_column_echoes_S(self, capsys):
+        main(["scan", "--Q0", "2", "--k-min", "0.5", "--k-max", "1.0", "--points", "3"])
+        for line in capsys.readouterr().out.splitlines()[1:]:
             cells = line.split(",")
             assert cells[5] == cells[3]
 
-    def test_json_format(self):
-        proc = run_cli("scan", "--Q0", "1", "--k-min", "0.2", "--k-max", "0.4",
-                       "--points", "2", "--format", "json")
-        data = json.loads(proc.stdout)
+    def test_json_format(self, capsys):
+        main(["scan", "--Q0", "1", "--k-min", "0.2", "--k-max", "0.4",
+              "--points", "2", "--format", "json"])
+        data = json.loads(capsys.readouterr().out)
         assert data["grid"]["count"] == 2
         assert len(data["points"]) == 2
         assert data["failures"] == []
 
     def test_bad_grid_rejected(self):
-        proc = run_cli("scan", "--Q0", "1", "--k-min", "0", "--k-max", "1", "--points", "5")
-        assert proc.returncode == 2
+        assert main(["scan", "--Q0", "1", "--k-min", "0", "--k-max", "1", "--points", "5"]) == 2
 
-    def test_unwritable_path(self):
-        proc = run_cli("scan", "--Q0", "1", "--k-min", "0.1", "--k-max", "1",
-                       "--points", "2", "--out", "/no-such-directory/scan.csv")
-        assert proc.returncode == 6
-        assert json.loads(proc.stderr)["error"] == "io"
+    def test_unwritable_path(self, capsys):
+        assert main(["scan", "--Q0", "1", "--k-min", "0.1", "--k-max", "1",
+                     "--points", "2", "--out", "/no-such-directory/scan.csv"]) == 6
+        assert json.loads(capsys.readouterr().err)["error"] == "io"
+
+    def test_failure_rows_keep_grid_order(self, capsys):
+        args = ["scan", "--Q0", "0", "--k-min", "1e-170", "--k-max", "1e-150",
+                "--points", "4", "--log"]
+        assert main(args) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert len(rows) == 4
+        # A = 0 twice (no mode), then A below the smallest supported coupling
+        assert [row[2] for row in rows[:3]] == ["0", "0", "3.4811916250269845e-314"]
+        for row in rows[:3]:
+            assert row[6] == "error"
+            assert row[1] == "0"
+            assert row[3:6] == ["nan"] * 3 and row[7] == "nan"
+        assert rows[3][0] == "1e-150" and rows[3][6] == "asymptotic-zero-sound"
+        assert main([*args, "--format", "json"]) == 0
+        failures = json.loads(capsys.readouterr().out)["failures"]
+        assert [f["k_lambda_d"] for f in failures] == [float(row[0]) for row in rows[:3]]
+        assert [f["error"] for f in failures] == [
+            "no-undamped-root", "no-undamped-root", "invalid-argument"]
 
 
 class TestSimulate:
-    def test_small_run(self, tmp_path):
+    def test_small_run(self, tmp_path, capsys):
         out = tmp_path / "trace.csv"
-        proc = run_cli("simulate", "--Q0", "1", "--n-mu", "32", "--steps", "2048",
-                       "--out", str(out))
-        assert proc.returncode == 0
-        summary = json.loads(proc.stdout)
+        assert main(["simulate", "--Q0", "1", "--n-mu", "32", "--steps", "2048",
+                     "--out", str(out)]) == 0
+        summary = json.loads(capsys.readouterr().out)
         assert abs(summary["peak_frequency"] - summary["analytic_S"]) <= summary["bin_width"]
         assert summary["deviation"] == pytest.approx(
             abs(summary["peak_frequency"] - summary["analytic_S"]), rel=1e-12
@@ -163,21 +180,30 @@ class TestSimulate:
 
     def test_stability_violation_reported_before_writing(self, tmp_path):
         out = tmp_path / "trace.csv"
-        proc = run_cli("simulate", "--Q0", "1", "--dt", "0.9", "--out", str(out))
-        assert proc.returncode == 2
+        assert main(["simulate", "--Q0", "1", "--dt", "0.9", "--out", str(out)]) == 2
         assert not out.exists()
 
-    def test_zero_amplitude_has_no_peak(self, tmp_path):
+    def test_zero_amplitude_has_no_peak(self, tmp_path, capsys):
         out = tmp_path / "trace.csv"
-        proc = run_cli("simulate", "--Q0", "1", "--amplitude", "0", "--steps", "256",
-                       "--n-mu", "16", "--out", str(out))
-        assert proc.returncode == 5
-        assert json.loads(proc.stderr)["error"] == "no-collective-peak"
+        assert main(["simulate", "--Q0", "1", "--amplitude", "0", "--steps", "256",
+                     "--n-mu", "16", "--out", str(out)]) == 5
+        assert json.loads(capsys.readouterr().err)["error"] == "no-collective-peak"
         assert not out.exists()
 
     def test_single_step_rejected(self, tmp_path):
-        proc = run_cli("simulate", "--Q0", "1", "--steps", "1", "--out", str(tmp_path / "t.csv"))
-        assert proc.returncode == 2
+        assert main(["simulate", "--Q0", "1", "--steps", "1", "--out", str(tmp_path / "t.csv")]) == 2
+
+    def test_params_file_rejected(self, tmp_path, capsys):
+        # simulate reports nothing in physical units, so it takes no parameter file
+        params = tmp_path / "p.txt"
+        params.write_text("m = 1\nm_star = 1\np_F = 1\nn0 = 1\nhbar = 1\n")
+        out = tmp_path / "t.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--Q0", "1", "--steps", "2048", "--n-mu", "16",
+                  "--params-file", str(params), "--out", str(out)])
+        assert exc.value.code == 2
+        assert "--params-file" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_blowup_is_one_json_line(self, tmp_path, capsys):
         out = tmp_path / "t.csv"
@@ -195,10 +221,9 @@ class TestSimulate:
 
 
 class TestCompare:
-    def test_all_methods_reported(self):
-        proc = run_cli("compare", "--Q0", "1", "--n-mu", "64", "--steps", "2048")
-        assert proc.returncode == 0
-        lines = proc.stdout.splitlines()
+    def test_all_methods_reported(self, capsys):
+        assert main(["compare", "--Q0", "1", "--n-mu", "64", "--steps", "2048"]) == 0
+        lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 6
         methods = [line.split(",")[0] for line in lines[1:]]
         assert methods == ["exact", "asymptotic-zero-sound", "asymptotic-high-frequency",
@@ -208,22 +233,21 @@ class TestCompare:
         assert float(row["dev_time_domain"]) <= 0.07
         assert row["above_continuum"] == "true"
 
-    def test_sub_solver_failure_does_not_abort(self):
+    def test_sub_solver_failure_does_not_abort(self, capsys):
         # S - 1 ~ 5e-10 here: far below the spectral resolution, so the
         # time-domain row must fail cleanly while the others survive
-        proc = run_cli("compare", "--Q0", "0.1", "--k-lambda", "0.01",
-                       "--n-mu", "64", "--steps", "2048")
-        assert proc.returncode == 0
-        lines = proc.stdout.splitlines()
+        assert main(["compare", "--Q0", "0.1", "--k-lambda", "0.01",
+                     "--n-mu", "64", "--steps", "2048"]) == 0
+        lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 6
         time_row = lines[5].split(",")
         assert time_row[0] == "time-domain"
         assert time_row[4] == "no-collective-peak"
 
-    def test_raised_switch_makes_rows_identical(self):
-        proc = run_cli("compare", "--Q0", "0.1", "--k-lambda", "0.01",
-                       "--switch-a", "0.2", "--n-mu", "16", "--steps", "2048")
-        lines = proc.stdout.splitlines()
+    def test_raised_switch_makes_rows_identical(self, capsys):
+        main(["compare", "--Q0", "0.1", "--k-lambda", "0.01",
+              "--switch-a", "0.2", "--n-mu", "16", "--steps", "2048"])
+        lines = capsys.readouterr().out.splitlines()
         exact = lines[1].split(",")
         asym = lines[2].split(",")
         assert exact[1] == asym[1]  # identical S text, hence identical bytes
@@ -237,10 +261,10 @@ class TestCompare:
         rows = {row["method"]: row for row in json.loads(capsys.readouterr().out)["rows"]}
         assert rows["time-domain"]["S"] == peak
 
-    def test_json_format(self):
-        proc = run_cli("compare", "--Q0", "300", "--n-mu", "100", "--steps", "2048",
-                       "--format", "json")
-        data = json.loads(proc.stdout)
+    def test_json_format(self, capsys):
+        main(["compare", "--Q0", "300", "--n-mu", "100", "--steps", "2048",
+              "--format", "json"])
+        data = json.loads(capsys.readouterr().out)
         assert data["A"] == 300.0
         rows = {row["method"]: row for row in data["rows"]}
         assert rows["exact"]["S"] == pytest.approx(10.029989287382086, rel=1e-12)

@@ -285,6 +285,27 @@ class TestGridSpec:
         ratios = [b / a for a, b in zip(ks, ks[1:])]
         assert max(ratios) - min(ratios) < 1e-12
 
+    def test_both_spacings_hit_both_endpoints(self):
+        # the log formula alone ends at 1.9999999999999998 and 1.0000000000000008e-150
+        for k_min, k_max, count in ((0.1, 2.0, 10), (1e-170, 1e-150, 4)):
+            for spacing in ("linear", "log"):
+                ks = GridSpec(k_min, k_max, count, spacing=spacing).values()
+                assert len(ks) == count
+                assert ks[0] == k_min and ks[-1] == k_max
+                assert all(b > a for a, b in zip(ks, ks[1:]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.floats(min_value=1e-300, max_value=1e300),
+        st.floats(min_value=1.0 + 1e-9, max_value=1e6),
+        st.integers(min_value=2, max_value=400),
+        st.sampled_from(("linear", "log")),
+    )
+    def test_endpoints_exact_on_any_grid(self, k_min, span, count, spacing):
+        k_max = k_min * span
+        ks = GridSpec(k_min, k_max, count, spacing=spacing).values()
+        assert ks[0] == k_min and ks[-1] == k_max
+
     def test_single_point_grid(self):
         assert GridSpec(0.5, 0.5, 1).values() == [0.5]
 
