@@ -42,11 +42,14 @@ __all__ = [
     "asymptotic_zero_sound",
     "high_frequency_branch",
     "branch_scan",
+    "MAX_SCAN_POINTS",
 ]
 
 _LN2 = math.log(2.0)
 # smallest coupling whose weak-coupling exponent -2 - 2/A is finite
 _MIN_COUPLING = math.nextafter(2.0 / sys.float_info.max, 1.0)
+# largest GridSpec.count: a scan solves and prints one row per point
+MAX_SCAN_POINTS = 2**20
 
 
 @dataclass(frozen=True)
@@ -248,7 +251,11 @@ def high_frequency_branch(Q0, k_lambda_d, mass_convention="effective", params=No
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Wavenumber grid for a branch scan, in units of 1/lambda_d."""
+    """Wavenumber grid for a branch scan, in units of 1/lambda_d.
+
+    count runs from 1 to MAX_SCAN_POINTS.  A multi-point log grid needs a
+    finite ratio k_max / k_min.
+    """
 
     k_min: float
     k_max: float
@@ -262,10 +269,19 @@ class GridSpec:
             raise InvalidArgumentError(f"k_max must be >= k_min, got {self.k_max!r}")
         if self.count < 1:
             raise InvalidArgumentError(f"count must be >= 1, got {self.count!r}")
+        if self.count > MAX_SCAN_POINTS:
+            raise InvalidArgumentError(
+                f"count must be <= MAX_SCAN_POINTS = {MAX_SCAN_POINTS}, got {self.count!r}"
+            )
         if self.count >= 2 and self.k_max == self.k_min:
             raise InvalidArgumentError("k_max must exceed k_min for a multi-point grid")
         if self.spacing not in ("linear", "log"):
             raise InvalidArgumentError(f"spacing must be 'linear' or 'log', got {self.spacing!r}")
+        if self.spacing == "log" and self.count >= 2 and math.isinf(self.k_max / self.k_min):
+            raise InvalidArgumentError(
+                f"log grid ratio k_max / k_min overflows "
+                f"(k_min = {self.k_min!r}, k_max = {self.k_max!r})"
+            )
 
     def values(self):
         if self.count == 1:

@@ -14,6 +14,7 @@ S and frequency are in continuum-edge units (time in 1/(k v_F)), so the
 collective line of the evolved signal sits at omega = S.
 """
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -40,10 +41,18 @@ __all__ = [
     "evolve_initial_value",
     "spectral_peak",
     "BACKEND",
+    "MAX_GRID_SIZE",
+    "MAX_STEPS",
 ]
 
 # the time evolution has a single implementation, the numpy loop below
 BACKEND = "numpy"
+
+# size ceilings, checked before anything is allocated: the grid build is
+# O(N^2) vector work (about 30 s at the ceiling), and the trace of
+# MAX_STEPS steps holds 256 MiB before its 4x zero-padded transform
+MAX_GRID_SIZE = 2**16
+MAX_STEPS = 2**24
 
 
 @dataclass(frozen=True)
@@ -113,7 +122,7 @@ def _gauss_legendre(n):
 
 
 def build_angular_grid(size):
-    """Gauss-Legendre grid of the given order; at least 4 nodes.
+    """Gauss-Legendre grid of the given order; 4 to MAX_GRID_SIZE nodes.
 
     Nodes and weights come from Newton iteration on the Legendre
     three-term recurrence, with the final step for mu >= 1/2 taken on the
@@ -125,6 +134,10 @@ def build_angular_grid(size):
     """
     if size < 4:
         raise InvalidArgumentError(f"grid size must be >= 4, got {size!r}")
+    if size > MAX_GRID_SIZE:
+        raise InvalidArgumentError(
+            f"grid size must be <= MAX_GRID_SIZE = {MAX_GRID_SIZE}, got {size!r}"
+        )
     nodes, weights = _gauss_legendre(size)
     nodes.setflags(write=False)
     weights.setflags(write=False)
@@ -225,6 +238,10 @@ def _rk4_trace(y, mu, half_w, a, dt, steps):
             s = half_w @ x
         y = x
         trace[step] = s
+        # a non-finite state never turns finite again, so a look at every
+        # 256th sample is enough to stop an overflowing run early
+        if step % 256 == 0 and not cmath.isfinite(s):
+            return trace[: step + 1]
     return trace
 
 
@@ -232,8 +249,10 @@ def evolve_initial_value(coupling, grid, initial, dt, steps):
     """Integrate the node amplitudes with classical RK4, tracing <F>(t).
 
     Returns steps + 1 samples including the initial instant.  dt must not
-    exceed stability_bound(coupling); a violation is rejected up front.
-    Non-finite values in the produced trace raise NumericalBlowupError.
+    exceed stability_bound(coupling), and steps must lie in
+    [2, MAX_STEPS]; a violation is rejected up front.  Non-finite values
+    in the trace raise NumericalBlowupError, at most 256 steps after the
+    first one.
     """
     c = as_coupling(coupling)
     if not (math.isfinite(dt) and dt > 0.0):
@@ -243,6 +262,8 @@ def evolve_initial_value(coupling, grid, initial, dt, steps):
         raise InvalidArgumentError(f"dt = {dt!r} exceeds the stability bound {bound!r} at A = {c.A!r}")
     if steps < 2:
         raise InvalidArgumentError(f"steps must be >= 2, got {steps!r}")
+    if steps > MAX_STEPS:
+        raise InvalidArgumentError(f"steps must be <= MAX_STEPS = {MAX_STEPS}, got {steps!r}")
     if initial.values.shape[0] != grid.size:
         raise InvalidArgumentError(
             f"state has {initial.values.shape[0]} values for a grid of {grid.size}"

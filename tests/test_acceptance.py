@@ -8,13 +8,10 @@ to make a failing build pass.
 
 import json
 import math
-import os
-import subprocess
-import sys
 import time
-from pathlib import Path
 
 import numpy as np
+from conftest import run_cli
 from scipy.integrate import quad
 
 from zerosound import (
@@ -214,30 +211,18 @@ def test_criterion_8_dimensionless_invariance():
     )
 
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
-
-
-def _cli(*args):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, "-m", "zerosound", *args],
-        capture_output=True, text=True, env=env,
-    )
-
-
 def test_criterion_9_cli_determinism_and_schema(tmp_path):
     args = ("scan", "--Q0", "0.3", "--k-min", "0.02", "--k-max", "1.8",
             "--points", "25", "--log")
     first, second = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert _cli(*args, "--out", str(first)).returncode == 0
-    assert _cli(*args, "--out", str(second)).returncode == 0
+    assert run_cli(*args, "--out", str(first)).returncode == 0
+    assert run_cli(*args, "--out", str(second)).returncode == 0
     same_bytes = first.read_bytes() == second.read_bytes()
     header_ok = first.read_text().splitlines()[0] == (
         "k_lambda_d,Q0,A,S,S_minus_1,omega_over_k_vF,method,residual"
     )
 
-    proc = _cli("solve", "--Q0", "2.5", "--k-lambda", "0.4")
+    proc = run_cli("solve", "--Q0", "2.5", "--k-lambda", "0.4")
     recovered = DispersionPoint.from_json_dict(json.loads(proc.stdout))
     direct = solve_zero_sound(coupling_strength(InteractionModel(2.5), 0.4))
     lossless = recovered == direct

@@ -5,33 +5,26 @@ Most cases call ``main(argv)`` in this process; the ones that check the
 process determinism) run it as a subprocess.
 """
 
+import contextlib
+import io
 import json
-import os
-import subprocess
-import sys
+import math
 import warnings
-from pathlib import Path
 
 import pytest
+from conftest import run_cli
+from hypothesis import given, settings, strategies as st
 
-from zerosound import DispersionPoint, InteractionModel, coupling_strength, solve_zero_sound
+from zerosound import (
+    DispersionPoint,
+    InteractionModel,
+    asymptotic_zero_sound,
+    coupling_strength,
+    solve_zero_sound,
+)
 from zerosound.cli import main
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
 SCAN_HEADER = "k_lambda_d,Q0,A,S,S_minus_1,omega_over_k_vF,method,residual"
-
-
-def run_cli(*args, env_extra=None):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    if env_extra:
-        env.update(env_extra)
-    return subprocess.run(
-        [sys.executable, "-m", "zerosound", *args],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
 
 
 class TestSolve:
@@ -69,10 +62,12 @@ class TestSolve:
         err = json.loads(proc.stderr)
         assert err["error"] == "no-undamped-root"
 
-    def test_bad_flag_exit_code(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["solve", "--Q0", "nan"])
-        assert exc.value.code == 2
+    def test_bad_flag_exit_code(self, capsys):
+        assert main(["solve", "--Q0", "nan"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert json.loads(captured.err)["error"] == "invalid-argument"
 
     def test_coupling_below_smallest_supported_exit_code(self, capsys):
         for switch in ("0.06", "0"):
@@ -271,6 +266,146 @@ class TestCompare:
         # strong-coupling closed form lands within one percent
         dev = rows["exact"]["deviations"]["asymptotic-high-frequency"]
         assert dev / rows["exact"]["S"] <= 0.01
+
+
+# one argv per subcommand, cheap to run; a flag appended later overrides it
+BASE_ARGV = {
+    "solve": ["solve", "--Q0", "1"],
+    "scan": ["scan", "--Q0", "1", "--k-min", "0.1", "--k-max", "1", "--points", "4"],
+    "simulate": ["simulate", "--Q0", "1", "--n-mu", "16", "--steps", "256"],
+    "compare": ["compare", "--Q0", "1", "--n-mu", "16", "--steps", "256", "--format", "json"],
+}
+
+# each flag that takes a number, a value its library check rejects, and the
+# name that check gives the knob
+RANGE_ERRORS = [
+    ("solve", "--Q0", "nan", "Q0"),
+    ("solve", "--Q0", "-1", "Q0"),
+    ("solve", "--k-lambda", "inf", "k_lambda_d"),
+    ("solve", "--tol", "inf", "tolerance"),
+    ("solve", "--max-iter", "0", "max_iterations"),
+    ("solve", "--switch-a", "inf", "asymptotic_switch_A"),
+    ("scan", "--Q0", "1e400", "Q0"),
+    ("scan", "--k-min", "nan", "k_min"),
+    ("scan", "--k-max", "inf", "k_max"),
+    ("scan", "--points", "0", "count"),
+    ("scan", "--points", str(2**62), "MAX_SCAN_POINTS"),
+    ("scan", "--tol", "nan", "tolerance"),
+    ("simulate", "--Q0", "inf", "Q0"),
+    ("simulate", "--k-lambda", "nan", "k_lambda_d"),
+    ("simulate", "--n-mu", "0", "grid size"),
+    ("simulate", "--n-mu", "3", "grid size"),
+    ("simulate", "--n-mu", str(2**62), "MAX_GRID_SIZE"),
+    ("simulate", "--steps", "0", "steps"),
+    ("simulate", "--steps", str(2**62), "MAX_STEPS"),
+    ("simulate", "--dt", "nan", "dt"),
+    ("simulate", "--amplitude", "inf", "state values"),
+    ("simulate", "--switch-a", "nan", "asymptotic_switch_A"),
+    ("compare", "--Q0", "nan", "Q0"),
+    ("compare", "--k-lambda", "inf", "k_lambda_d"),
+    ("compare", "--max-iter", "0", "max_iterations"),
+]
+
+# compare reports a rejected oracle knob in the rows it spoils
+ORACLE_ROW_ERRORS = [
+    ("--n-mu", "0", {"matrix-oracle", "time-domain"}),
+    ("--n-mu", "3", {"matrix-oracle", "time-domain"}),
+    ("--n-mu", str(2**62), {"matrix-oracle", "time-domain"}),
+    ("--dt", "nan", {"time-domain"}),
+    ("--dt", "inf", {"time-domain"}),
+    ("--steps", "0", {"time-domain"}),
+    ("--steps", "1", {"time-domain"}),
+    ("--steps", str(2**62), {"time-domain"}),
+]
+
+
+class TestRangeErrors:
+    """Argparse only parses; each knob's range is checked once, by the library."""
+
+    @pytest.mark.parametrize("command,flag,value,knob", RANGE_ERRORS)
+    def test_one_json_line_and_exit_2(self, command, flag, value, knob, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        argv = [*BASE_ARGV[command], flag, value]
+        if command == "simulate":
+            argv += ["--out", str(out)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        err = json.loads(captured.err)
+        assert err["error"] == "invalid-argument"
+        assert knob in err["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag,value,spoiled", ORACLE_ROW_ERRORS)
+    def test_compare_labels_the_oracle_rows(self, flag, value, spoiled, capsys):
+        assert main([*BASE_ARGV["compare"], flag, value]) == 0
+        rows = {row["method"]: row for row in json.loads(capsys.readouterr().out)["rows"]}
+        for method, row in rows.items():
+            if method in spoiled:
+                assert row["error"] == "invalid-argument"
+                assert row["S"] == "nan"
+            else:
+                assert row["error"] is None
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--Q0", "one"],
+        ["solve", "--Q0", "1", "--max-iter", "1.5"],
+        ["simulate", "--Q0", "1", "--steps", "1e3", "--out", "t.csv"],
+        ["scan", "--Q0", "1", "--k-min", "0.1", "--k-max"],
+    ])
+    def test_syntax_errors_stay_with_argparse(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_overflowing_log_grid_rejected(self, fmt, capsys):
+        # k_max / k_min overflows, which used to give nan and inf wavenumbers
+        assert main(["scan", "--Q0", "1", "--k-min", "1e-320", "--k-max", "1e10",
+                     "--points", "4", "--log", "--format", fmt]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "invalid-argument"
+        assert "1e-320" in err["message"] and "10000000000.0" in err["message"]
+
+
+# float-parsable text: any double, a typical magnitude, the special
+# spellings, subnormals and an overflowing literal
+FLOAT_TEXT = st.one_of(
+    st.floats().map(repr),
+    st.floats(min_value=0.0, max_value=1e3).map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "1e400", "-1e400", "5e-324", "2.2e-308", "-0.0"]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(q0=FLOAT_TEXT, k=FLOAT_TEXT, tol=FLOAT_TEXT, switch=FLOAT_TEXT)
+def test_solve_ends_in_a_result_or_a_labeled_error(q0, k, tol, switch):
+    # the "--flag=value" form, since argparse takes "-1e-05" for an option
+    argv = ["solve", f"--Q0={q0}", f"--k-lambda={k}", f"--tol={tol}", f"--switch-a={switch}"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    if code == 0:
+        assert err.getvalue() == ""
+        point = DispersionPoint.from_json_dict(json.loads(out.getvalue()))
+        if point.method.value == "exact":
+            assert abs(point.residual) <= float(tol)
+        else:
+            # below --switch-a the closed form is returned as it stands
+            assert point.A < float(switch)
+            coupling = coupling_strength(InteractionModel(point.Q0), point.k_lambda_d)
+            assert point == asymptotic_zero_sound(coupling)
+        assert math.isfinite(point.S)
+    else:
+        assert code in (2, 3, 4)
+        assert out.getvalue() == ""
+        assert err.getvalue().count("\n") == 1
+        assert json.loads(err.getvalue())["error"] in (
+            "invalid-argument", "no-undamped-root", "convergence")
 
 
 class TestEntryPoint:

@@ -14,6 +14,7 @@ from zerosound import (
     ConvergenceError,
     DomainError,
     FermiParameters,
+    MAX_SCAN_POINTS,
     GridSpec,
     InteractionModel,
     InvalidArgumentError,
@@ -320,6 +321,28 @@ class TestGridSpec:
             GridSpec(0.1, 1.0, 0)
         with pytest.raises(InvalidArgumentError):
             GridSpec(0.1, 1.0, 5, spacing="cubic")
+
+    def test_count_ceiling(self):
+        assert GridSpec(0.1, 1.0, MAX_SCAN_POINTS).count == MAX_SCAN_POINTS
+        for count in (MAX_SCAN_POINTS + 1, 2**62):
+            with pytest.raises(InvalidArgumentError, match="count"):
+                GridSpec(0.1, 1.0, count)
+
+    def test_overflowing_log_span_rejected(self):
+        # k_max / k_min = inf would make the first values nan and inf
+        for k_min, k_max in ((1e-320, 1e10), (1e-300, 1e300)):
+            with pytest.raises(InvalidArgumentError) as exc:
+                GridSpec(k_min, k_max, 4, spacing="log")
+            assert repr(k_min) in str(exc.value) and repr(k_max) in str(exc.value)
+            # the span is fine on a linear grid and on a single point
+            assert GridSpec(k_min, k_max, 4).values()[-1] == k_max
+            assert GridSpec(k_min, k_max, 1, spacing="log").values() == [k_min]
+
+    def test_widest_finite_log_span_stays_finite(self):
+        ks = GridSpec(1e-300, 1e8, 5, spacing="log").values()
+        assert all(math.isfinite(k) for k in ks)
+        assert ks[0] == 1e-300 and ks[-1] == 1e8
+        assert all(b > a for a, b in zip(ks, ks[1:]))
 
 
 class TestBranchScan:

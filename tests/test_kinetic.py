@@ -1,17 +1,16 @@
 """Discrete-grid oracles: secular root, time evolution, peak extraction."""
 
 import math
-import os
-import subprocess
-import sys
 from decimal import Decimal, localcontext
-from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import run_python
 
 import zerosound
 from zerosound import (
+    MAX_GRID_SIZE,
+    MAX_STEPS,
     AngularState,
     InvalidArgumentError,
     NoCollectivePeakError,
@@ -27,8 +26,7 @@ from zerosound import (
     spectral_peak,
     stability_bound,
 )
-
-SRC = str(Path(__file__).resolve().parents[1] / "src")
+from zerosound.kinetic import _rk4_trace
 
 
 def _reference_rule(n, digits=40):
@@ -99,6 +97,12 @@ class TestAngularGrid:
     def test_too_small_rejected(self):
         with pytest.raises(InvalidArgumentError):
             build_angular_grid(3)
+
+    def test_size_ceiling(self):
+        # rejected before any array is built
+        for size in (MAX_GRID_SIZE + 1, 2**62):
+            with pytest.raises(InvalidArgumentError, match="grid size"):
+                build_angular_grid(size)
 
     @pytest.mark.parametrize("n", [8, 33, 64, 128, 400])
     def test_matches_a_40_digit_reference(self, n):
@@ -256,11 +260,31 @@ class TestEvolve:
         with pytest.raises(InvalidArgumentError):
             AngularState(np.ones((2, 2)))
 
+    def test_steps_ceiling(self):
+        assert MAX_STEPS >= 2**23
+        g = build_angular_grid(8)
+        state = AngularState(np.ones(8, dtype=np.complex128))
+        # rejected before the trace is allocated
+        for steps in (MAX_STEPS + 1, 2**62):
+            with pytest.raises(InvalidArgumentError, match="steps"):
+                evolve_initial_value(1.0, g, state, 0.02, steps)
+
     def test_overflow_is_reported_as_blowup(self):
         g = build_angular_grid(8)
         state = AngularState(np.full(8, 1e308, dtype=np.complex128))
         with pytest.raises(NumericalBlowupError):
             evolve_initial_value(1.0, g, state, 0.05, 2)
+        with pytest.raises(NumericalBlowupError):
+            evolve_initial_value(1.0, g, state, 0.05, 4096)
+
+    def test_overflowing_trace_stops_early(self):
+        g = build_angular_grid(8)
+        y0 = np.full(8, 1e308, dtype=np.complex128)
+        with np.errstate(over="ignore", invalid="ignore"):
+            trace = _rk4_trace(y0, g.nodes, 0.5 * g.weights, 1.0, 0.05, 4096)
+        # the first look at the trace, after 256 steps, ends the run
+        assert trace.shape == (257,)
+        assert not np.isfinite(trace[-1])
 
     @pytest.mark.parametrize("n", [33, 128, 400])  # 33: the odd grid's mu = 0 node
     @pytest.mark.parametrize("a", [0.05, 1.0, 100.0])
@@ -276,13 +300,11 @@ class TestEvolve:
 
 class TestRuntimeDependencies:
     def test_import_loads_numpy_only(self):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
         probe = (
             "import sys, zerosound; "
             "print(sorted(m for m in ('scipy', 'numba') if m in sys.modules), zerosound.BACKEND)"
         )
-        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+        proc = run_python("-c", probe)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["[]", "numpy"]
         assert zerosound.BACKEND == "numpy"

@@ -1,9 +1,10 @@
 """The package's public names: declared once, in each module's ``__all__``."""
 
+import ast
 import inspect
 
 import zerosound
-from zerosound import dispersion, errors, kinetic, model
+from zerosound import cli, dispersion, errors, kinetic, model
 
 MODULES = (dispersion, errors, kinetic, model)
 
@@ -29,3 +30,14 @@ def test_errors_lists_every_error_type():
         if inspect.isclass(value) and issubclass(value, zerosound.ZeroSoundError)
     }
     assert set(errors.__all__) == defined
+
+
+def test_cli_imports_no_numpy():
+    # the CLI parses, calls and renders; array work stays in the library
+    imported = set()
+    for node in ast.walk(ast.parse(inspect.getsource(cli))):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            imported.add(node.module.partition(".")[0])
+    assert "numpy" not in imported
