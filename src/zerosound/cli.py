@@ -181,7 +181,11 @@ def _scan_csv(scan, model):
             # the phase velocity over v_F is S itself in these units
             cells = (p.k_lambda_d, p.Q0, p.A, p.S, p.S_minus_1, p.S, p.method.value, p.residual)
         else:
-            cells = (k, model.Q0, coupling_strength(model, k).A, None, None, None, "error", None)
+            try:
+                a = coupling_strength(model, k).A
+            except ZeroSoundError:  # A = Q0 + (3/4) k^2 overflows: a nan cell
+                a = None
+            cells = (k, model.Q0, a, None, None, None, "error", None)
         lines.append(",".join(c if isinstance(c, str) else _fmt(c) for c in cells))
     return "\n".join(lines) + "\n"
 

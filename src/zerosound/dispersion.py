@@ -28,6 +28,8 @@ from .model import (
     DispersionPoint,
     InteractionModel,
     Method,
+    _require_finite,
+    _require_positive,
     as_coupling,
     coupling_strength,
 )
@@ -68,11 +70,10 @@ class SolverConfig:
     asymptotic_switch_A: float = 0.06
 
     def __post_init__(self):
-        if not (math.isfinite(self.tolerance) and self.tolerance > 0.0):
-            raise InvalidArgumentError(f"tolerance must be positive, got {self.tolerance!r}")
+        _require_positive("tolerance", self.tolerance)
         if self.max_iterations < 1:
             raise InvalidArgumentError(f"max_iterations must be >= 1, got {self.max_iterations!r}")
-        if not (math.isfinite(self.asymptotic_switch_A) and self.asymptotic_switch_A >= 0.0):
+        if _require_finite("asymptotic_switch_A", self.asymptotic_switch_A) < 0.0:
             raise InvalidArgumentError(
                 f"asymptotic_switch_A must be non-negative, got {self.asymptotic_switch_A!r}"
             )
@@ -263,9 +264,8 @@ class GridSpec:
     spacing: str = "linear"
 
     def __post_init__(self):
-        if not (math.isfinite(self.k_min) and self.k_min > 0.0):
-            raise InvalidArgumentError(f"k_min must be positive, got {self.k_min!r}")
-        if not (math.isfinite(self.k_max) and self.k_max >= self.k_min):
+        _require_positive("k_min", self.k_min)
+        if _require_finite("k_max", self.k_max) < self.k_min:
             raise InvalidArgumentError(f"k_max must be >= k_min, got {self.k_max!r}")
         if self.count < 1:
             raise InvalidArgumentError(f"count must be >= 1, got {self.count!r}")
@@ -302,7 +302,8 @@ class BranchScan:
     """Dispersion points over a wavenumber grid, in grid order.
 
     failures lists (k_lambda_d, error label) pairs for grid points where
-    no undamped mode exists; they are skipped, not fatal.
+    no undamped mode exists or whose coupling A overflows; they are
+    skipped, not fatal.
     """
 
     grid: GridSpec
@@ -315,9 +316,8 @@ def branch_scan(model, grid, config=None, params=None):
     points = []
     failures = []
     for k in grid.values():
-        c = coupling_strength(model, k)
         try:
-            point = solve_zero_sound(c, config)
+            point = solve_zero_sound(coupling_strength(model, k), config)
         except ZeroSoundError as exc:
             failures.append((k, exc.label))
             continue

@@ -158,6 +158,23 @@ class TestScan:
         assert [f["error"] for f in failures] == [
             "no-undamped-root", "no-undamped-root", "invalid-argument"]
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_overflowing_coupling_is_a_failure_row(self, fmt, capsys):
+        # A = Q0 + (3/4) k^2 overflows at the last two points, not at k = 1
+        assert main(["scan", "--Q0", "1", "--k-min", "1", "--k-max", "1e200",
+                     "--points", "3", "--format", fmt]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        if fmt == "csv":
+            rows = [line.split(",") for line in captured.out.splitlines()[1:]]
+            assert [row[2] for row in rows] == ["1.75", "nan", "nan"]
+            assert [row[6] for row in rows] == ["exact", "error", "error"]
+        else:
+            data = json.loads(captured.out)
+            assert [p["A"] for p in data["points"]] == [1.75]
+            assert [f["error"] for f in data["failures"]] == ["invalid-argument"] * 2
+            assert data["failures"][-1]["k_lambda_d"] == 1e200
+
 
 class TestSimulate:
     def test_small_run(self, tmp_path, capsys):
@@ -335,6 +352,9 @@ class TestRangeErrors:
         err = json.loads(captured.err)
         assert err["error"] == "invalid-argument"
         assert knob in err["message"]
+        if not math.isfinite(float(value)):
+            # the message names the condition that failed
+            assert "must be finite" in err["message"]
         assert not out.exists()
 
     @pytest.mark.parametrize("flag,value,spoiled", ORACLE_ROW_ERRORS)

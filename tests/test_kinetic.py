@@ -6,6 +6,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 from conftest import run_python
+from hypothesis import given, settings, strategies as st
 
 import zerosound
 from zerosound import (
@@ -26,7 +27,7 @@ from zerosound import (
     spectral_peak,
     stability_bound,
 )
-from zerosound.kinetic import _rk4_trace
+from zerosound.kinetic import _block_size, _rk4_trace
 
 
 def _reference_rule(n, digits=40):
@@ -272,8 +273,11 @@ class TestEvolve:
     def test_overflow_is_reported_as_blowup(self):
         g = build_angular_grid(8)
         state = AngularState(np.full(8, 1e308, dtype=np.complex128))
-        with pytest.raises(NumericalBlowupError):
-            evolve_initial_value(1.0, g, state, 0.05, 2)
+        # two steps stay in range: the trace is 1e308 times the unit state's
+        unit = AngularState(np.ones(8, dtype=np.complex128))
+        out = evolve_initial_value(1.0, g, state, 0.05, 2).samples
+        ref = evolve_initial_value(1.0, g, unit, 0.05, 2).samples
+        assert float(np.max(np.abs(out / 1e308 - ref))) <= 1e-15
         with pytest.raises(NumericalBlowupError):
             evolve_initial_value(1.0, g, state, 0.05, 4096)
 
@@ -282,8 +286,8 @@ class TestEvolve:
         y0 = np.full(8, 1e308, dtype=np.complex128)
         with np.errstate(over="ignore", invalid="ignore"):
             trace = _rk4_trace(y0, g.nodes, 0.5 * g.weights, 1.0, 0.05, 4096)
-        # the first look at the trace, after 256 steps, ends the run
-        assert trace.shape == (257,)
+        # the documented bound: the run ends within 256 steps of overflowing
+        assert trace.shape[0] <= 257
         assert not np.isfinite(trace[-1])
 
     @pytest.mark.parametrize("n", [33, 128, 400])  # 33: the odd grid's mu = 0 node
@@ -296,6 +300,49 @@ class TestEvolve:
         out = evolve_initial_value(a, g, AngularState(y0), dt, 2048)
         ref = _four_stage_rk4_trace(y0, g.nodes, 0.5 * g.weights, a, dt, 2048)
         assert float(np.max(np.abs(out.samples - ref))) <= 1e-12
+
+
+# couplings over eleven decades and zero; amplitudes of either sign from
+# 1e-300 to the top of the float range, and zero
+COUPLINGS = st.one_of(st.just(0.0), st.floats(-6.0, 5.0).map(lambda e: 10.0**e))
+AMPLITUDES = st.one_of(
+    st.just(0.0),
+    st.builds(lambda sign, e: sign * 10.0**e,
+              st.sampled_from((1.0, -1.0)), st.floats(-300.0, 308.25)),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(4, 64), a=COUPLINGS, dt_fraction=st.one_of(st.just(1.0), st.floats(1e-3, 1.0)),
+       amplitude=AMPLITUDES, seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_evolution_matches_the_four_stage_loop_or_raises(n, a, dt_fraction, amplitude, seed, data):
+    b = _block_size(n)
+    steps = data.draw(st.one_of(
+        st.integers(2, 600),
+        # traces of k B - 1, k B and k B + 1 samples: a last block one short,
+        # exactly full, or holding a single sample
+        st.builds(lambda k, r: k * b + r, st.integers(1, 9), st.sampled_from((-2, -1, 0))),
+    ), label="steps")
+    g = build_angular_grid(n)
+    rng = np.random.default_rng(seed)
+    unit = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    dt = dt_fraction * stability_bound(a)
+    try:
+        with np.errstate(over="ignore"):
+            state = AngularState(amplitude * unit)
+        out = evolve_initial_value(a, g, state, dt, steps).samples
+    except (InvalidArgumentError, NumericalBlowupError):
+        # only a state at the edge of the float range ends this way
+        assert abs(amplitude) > 1e300
+        return
+    assert out.shape == (steps + 1,)
+    # the reference runs on the unit state, scaled by linearity, so that it
+    # cannot overflow where the evolver does not
+    ref = _four_stage_rk4_trace(unit, g.nodes, 0.5 * g.weights, a, dt, steps)
+    if amplitude == 0.0:
+        assert np.all(out == 0.0)
+    else:
+        assert float(np.max(np.abs(out / amplitude - ref))) <= 1e-12 * float(np.max(np.abs(ref)))
 
 
 class TestRuntimeDependencies:

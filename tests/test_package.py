@@ -41,3 +41,33 @@ def test_cli_imports_no_numpy():
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             imported.add(node.module.partition(".")[0])
     assert "numpy" not in imported
+
+
+def test_time_domain_oracle_stays_independent():
+    # no eigenvalues anywhere in kinetic, and nothing the evolution reaches
+    # touches the secular function or its root
+    tree = ast.parse(inspect.getsource(kinetic))
+    identifiers = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            identifiers.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            identifiers.add(node.attr)
+        elif isinstance(node, ast.alias):
+            identifiers.update(node.name.split("."))
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            identifiers.update(node.module.split("."))
+    assert "linalg" not in identifiers
+
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    reached, pending = set(), ["_rk4_trace"]
+    while pending:
+        name = pending.pop()
+        if name not in reached:
+            reached.add(name)
+            pending.extend(
+                node.id for node in ast.walk(functions[name])
+                if isinstance(node, ast.Name) and node.id in functions
+            )
+    assert "_row_powers" in reached  # the walk follows helpers
+    assert not reached & {"secular_sum", "discrete_collective_root"}
