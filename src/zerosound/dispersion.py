@@ -29,6 +29,7 @@ from .model import (
     InteractionModel,
     Method,
     _require_finite,
+    _require_integer,
     _require_positive,
     as_coupling,
     coupling_strength,
@@ -71,7 +72,7 @@ class SolverConfig:
 
     def __post_init__(self):
         _require_positive("tolerance", self.tolerance)
-        if self.max_iterations < 1:
+        if _require_integer("max_iterations", self.max_iterations) < 1:
             raise InvalidArgumentError(f"max_iterations must be >= 1, got {self.max_iterations!r}")
         if _require_finite("asymptotic_switch_A", self.asymptotic_switch_A) < 0.0:
             raise InvalidArgumentError(
@@ -267,7 +268,7 @@ class GridSpec:
         _require_positive("k_min", self.k_min)
         if _require_finite("k_max", self.k_max) < self.k_min:
             raise InvalidArgumentError(f"k_max must be >= k_min, got {self.k_max!r}")
-        if self.count < 1:
+        if _require_integer("count", self.count) < 1:
             raise InvalidArgumentError(f"count must be >= 1, got {self.count!r}")
         if self.count > MAX_SCAN_POINTS:
             raise InvalidArgumentError(

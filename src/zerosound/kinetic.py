@@ -13,13 +13,17 @@ evaluation; the time-domain oracle (RK4, evolved in blocks of steps from
 the diagonal-plus-rank-4 form of its step) shares nothing.
 S and frequency are in continuum-edge units (time in 1/(k v_F)), so the
 collective line of the evolved signal sits at omega = S.
+
+numpy is imported on first use, inside each function that needs it:
+importing this module, and with it the package and the solve and scan
+commands, loads no numpy.
 """
+
+from __future__ import annotations
 
 import cmath
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from ._roots import increasing_root
 from .errors import (
@@ -28,7 +32,7 @@ from .errors import (
     NoUndampedRootError,
     NumericalBlowupError,
 )
-from .model import _require_positive, as_coupling
+from .model import _require_integer, _require_positive, as_coupling
 
 __all__ = [
     "AngularGrid",
@@ -70,6 +74,7 @@ class AngularGrid:
 
 
 def _legendre(x, n):
+    import numpy as np
     # P_n(x) and P_{n-1}(x) - x P_n(x) = (1 - x^2) P_n'(x) / n from the
     # three-term recurrence k P_k = (2k - 1) x P_{k-1} - (k - 1) P_{k-2}
     p0, p1 = np.ones_like(x), x
@@ -91,6 +96,7 @@ def _legendre_near_one(x, n):
 
 
 def _gauss_legendre(n):
+    import numpy as np
     # Newton on P_n over the non-negative half of the nodes, largest first,
     # from Tricomi's guess; the half is mirrored, so the rule is exactly
     # symmetric and an odd rule has the node 0.0
@@ -134,6 +140,7 @@ def build_angular_grid(size):
     within 3e-16 absolute.  Nodes are exactly antisymmetric, weights
     exactly symmetric, and an odd grid has the node 0.0.
     """
+    size = _require_integer("grid size", size)
     if size < 4:
         raise InvalidArgumentError(f"grid size must be >= 4, got {size!r}")
     if size > MAX_GRID_SIZE:
@@ -155,6 +162,7 @@ def secular_sum(S, grid):
     from 32 to 400 nodes).  Below that floor the error is rounding noise:
     no ordering in the grid size is promised.
     """
+    import numpy as np
     mu = grid.nodes
     return 0.5 * float(np.sum(grid.weights * mu / (S - mu)))
 
@@ -189,6 +197,7 @@ class AngularState:
     time: float = 0.0
 
     def __post_init__(self):
+        import numpy as np
         values = np.asarray(self.values, dtype=np.complex128)
         if values.ndim != 1:
             raise InvalidArgumentError(f"state must be one-dimensional, got shape {values.shape}")
@@ -206,12 +215,14 @@ class TimeSeries:
     samples: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
         samples = np.asarray(self.samples, dtype=np.complex128)
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
 
     @property
     def times(self):
+        import numpy as np
         return self.dt * np.arange(self.samples.shape[0])
 
 
@@ -222,7 +233,10 @@ def stability_bound(coupling):
     spectrum of this system (|lambda| <= 1 + A) and small enough that
     phase error stays below the spectral resolution of typical runs.
     """
-    return 0.1 / (1.0 + as_coupling(coupling).A)
+    a = as_coupling(coupling).A
+    if a <= -1.0:
+        raise InvalidArgumentError(f"stability bound needs A > -1, got A = {a!r}")
+    return 0.1 / (1.0 + a)
 
 
 def _block_size(n):
@@ -232,6 +246,7 @@ def _block_size(n):
 
 
 def _row_powers(t, e, U, C, count):
+    import numpy as np
     # t, t M, ..., t M^(count-1) for M = I + diag(e) + U C, one row at a time
     rows = np.empty((count, t.shape[0]), dtype=np.complex128)
     for m in range(count):
@@ -241,6 +256,7 @@ def _row_powers(t, e, U, C, count):
 
 
 def _rk4_trace(y, mu, half_w, a, dt, steps):
+    import numpy as np
     # dy/dt = L y with (L y)_i = -i mu_i (y_i + a <y>), <y> = sum_j half_w_j y_j,
     # so L = diag(lam) + u v^T with lam = -i mu, u = a lam and v = half_w.  L is
     # linear and constant, so one classical RK4 step is the degree-4 Taylor
@@ -309,11 +325,13 @@ def evolve_initial_value(coupling, grid, initial, dt, steps):
     N <= 7281); the trace agrees with the stage-by-stage RK4 loop to
     rounding.
     """
+    import numpy as np
     c = as_coupling(coupling)
     _require_positive("dt", dt)
     bound = stability_bound(c)
     if dt > bound:
         raise InvalidArgumentError(f"dt = {dt!r} exceeds the stability bound {bound!r} at A = {c.A!r}")
+    steps = _require_integer("steps", steps)
     if steps < 2:
         raise InvalidArgumentError(f"steps must be >= 2, got {steps!r}")
     if steps > MAX_STEPS:
@@ -324,7 +342,7 @@ def evolve_initial_value(coupling, grid, initial, dt, steps):
         )
     # an overflow shows up as non-finite samples, reported just below
     with np.errstate(over="ignore", invalid="ignore"):
-        trace = _rk4_trace(initial.values, grid.nodes, 0.5 * grid.weights, c.A, float(dt), int(steps))
+        trace = _rk4_trace(initial.values, grid.nodes, 0.5 * grid.weights, c.A, float(dt), steps)
     if not np.all(np.isfinite(trace.view(np.float64))):
         raise NumericalBlowupError(f"evolution produced non-finite values (dt = {dt!r}, A = {c.A!r})")
     return TimeSeries(dt=float(dt), samples=trace)
@@ -355,6 +373,7 @@ def spectral_peak(series, window="hann"):
     declared.  bin_width reports the resolution 2 pi / (dt n) of the
     unpadded record.
     """
+    import numpy as np
     if window not in ("hann", "none"):
         raise InvalidArgumentError(f"window must be 'hann' or 'none', got {window!r}")
     x = np.asarray(series.samples, dtype=np.complex128)

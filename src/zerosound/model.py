@@ -11,6 +11,7 @@ de Broglie length at the Fermi surface.  Physical units enter only when a
 """
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -39,6 +40,14 @@ def _require_positive(name, value):
     if value <= 0.0:
         raise InvalidArgumentError(f"{name} must be positive, got {value!r}")
     return value
+
+
+def _require_integer(name, value):
+    # operator.index takes Python and numpy integers and refuses 2.5 and 2.0
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidArgumentError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)

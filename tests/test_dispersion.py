@@ -7,6 +7,7 @@ the dispersion relation.  They are frozen here as literals.
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -21,6 +22,7 @@ from zerosound import (
     Method,
     NoUndampedRootError,
     SolverConfig,
+    ZeroSoundError,
     asymptotic_zero_sound,
     branch_scan,
     coupling_strength,
@@ -192,6 +194,44 @@ class TestSolveZeroSound:
         v2 = solve_zero_sound(10.0**e2).log_excess
         assert v1 < v2
 
+    @given(
+        a=st.one_of(
+            st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),  # subnormals too
+            st.floats(min_value=5e-324, max_value=1.2e-307),  # around the smallest supported
+            st.floats(min_value=1e-3, max_value=1e3),
+        ),
+        tolerance=st.one_of(
+            st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+            st.floats(min_value=1e-16, max_value=1e-6),
+        ),
+        max_iterations=st.integers(min_value=1, max_value=400),
+        switch=st.one_of(
+            st.just(0.0),
+            st.floats(min_value=0.0, max_value=1.0),
+            st.floats(min_value=0.0, allow_infinity=False),
+        ),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_ends_in_a_checked_point_or_a_labeled_error(self, a, tolerance, max_iterations, switch):
+        cfg = SolverConfig(tolerance=tolerance, max_iterations=max_iterations, asymptotic_switch_A=switch)
+        try:
+            point = solve_zero_sound(a, cfg)
+        except ZeroSoundError as exc:
+            assert type(exc) is not ZeroSoundError and exc.label != "error"
+            if isinstance(exc, InvalidArgumentError):
+                assert math.isinf(2.0 / a)  # below the smallest supported coupling
+            return
+        assert point.A == a
+        if point.method is Method.EXACT:
+            assert abs(point.residual) <= tolerance
+        else:
+            # the closed form is returned below the switch, whatever its residual
+            assert point.method is Method.ASYMPTOTIC_ZERO_SOUND and a < switch
+        # log_excess is ln(S_minus_1) within the sweep benchmark's allowance
+        v, excess = point.log_excess, point.S_minus_1
+        slack = 1e-12 * max(1.0, abs(v)) * excess + 2.0 * math.ulp(excess)
+        assert excess >= 0.0 and abs(math.exp(v) - excess) <= slack
+
 
 class TestAsymptoticZeroSound:
     def test_closed_form_is_exact_in_floating_point(self):
@@ -272,6 +312,12 @@ class TestSolverConfig:
         with pytest.raises(InvalidArgumentError):
             SolverConfig(asymptotic_switch_A=-0.1)
 
+    def test_max_iterations_must_be_an_integer(self):
+        for value in (2.5, 200.0):
+            with pytest.raises(InvalidArgumentError, match="max_iterations must be an integer"):
+                SolverConfig(max_iterations=value)
+        assert solve_zero_sound(1.0, SolverConfig(max_iterations=np.int64(200))) == solve_zero_sound(1.0)
+
 
 class TestGridSpec:
     def test_linear_values_hit_both_endpoints(self):
@@ -321,6 +367,12 @@ class TestGridSpec:
             GridSpec(0.1, 1.0, 0)
         with pytest.raises(InvalidArgumentError):
             GridSpec(0.1, 1.0, 5, spacing="cubic")
+
+    def test_count_must_be_an_integer(self):
+        for count in (2.5, 3.0):
+            with pytest.raises(InvalidArgumentError, match="count must be an integer"):
+                GridSpec(1.0, 2.0, count)
+        assert GridSpec(1.0, 2.0, np.int64(3)).values() == GridSpec(1.0, 2.0, 3).values()
 
     def test_count_ceiling(self):
         assert GridSpec(0.1, 1.0, MAX_SCAN_POINTS).count == MAX_SCAN_POINTS

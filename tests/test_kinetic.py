@@ -105,6 +105,14 @@ class TestAngularGrid:
             with pytest.raises(InvalidArgumentError, match="grid size"):
                 build_angular_grid(size)
 
+    def test_size_must_be_an_integer(self):
+        for size in (4.5, 400.0, "8", None):
+            with pytest.raises(InvalidArgumentError, match="grid size must be an integer"):
+                build_angular_grid(size)
+        # numpy integers are integers
+        g = build_angular_grid(np.int64(8))
+        assert g.size == 8 and np.array_equal(g.nodes, build_angular_grid(8).nodes)
+
     @pytest.mark.parametrize("n", [8, 33, 64, 128, 400])
     def test_matches_a_40_digit_reference(self, n):
         g = build_angular_grid(n)
@@ -245,6 +253,28 @@ class TestEvolve:
         with pytest.raises(InvalidArgumentError, match="stability"):
             evolve_initial_value(1.0, g, state, math.nextafter(bound, 1.0), 2)
 
+    def test_stability_bound_needs_coupling_above_minus_one(self):
+        # 0.1 / (1 + A) has no finite positive value from A = -1 down
+        for a in (-1.0, -2.0):
+            with pytest.raises(InvalidArgumentError, match=r"A > -1.*A = " + repr(a)):
+                stability_bound(a)
+        g = build_angular_grid(8)
+        state = AngularState(np.ones(8, dtype=np.complex128))
+        with pytest.raises(InvalidArgumentError, match=r"A > -1"):
+            evolve_initial_value(-1.0, g, state, 0.02, 10)
+        closest = math.nextafter(-1.0, 0.0)
+        assert stability_bound(closest) == 0.1 / (1.0 + closest)
+        assert 0.0 < stability_bound(closest) < math.inf
+
+    def test_steps_must_be_an_integer(self):
+        g = build_angular_grid(8)
+        state = AngularState(np.ones(8, dtype=np.complex128))
+        for steps in (100.5, 100.0):
+            with pytest.raises(InvalidArgumentError, match="steps must be an integer"):
+                evolve_initial_value(1.0, g, state, 0.02, steps)
+        out = evolve_initial_value(1.0, g, state, 0.02, np.int64(100)).samples
+        assert np.array_equal(out, evolve_initial_value(1.0, g, state, 0.02, 100).samples)
+
     def test_argument_validation(self):
         g = build_angular_grid(8)
         state = AngularState(np.ones(8, dtype=np.complex128))
@@ -345,16 +375,39 @@ def test_evolution_matches_the_four_stage_loop_or_raises(n, a, dt_fraction, ampl
         assert float(np.max(np.abs(out / amplitude - ref))) <= 1e-12 * float(np.max(np.abs(ref)))
 
 
+def _imported_modules(stderr):
+    # module names from `python -X importtime` lines: "import time: self | cumulative | name"
+    return {
+        line.rpartition("|")[2].strip()
+        for line in stderr.splitlines()
+        if line.startswith("import time:")
+    }
+
+
 class TestRuntimeDependencies:
-    def test_import_loads_numpy_only(self):
+    def test_import_loads_no_numpy(self):
         probe = (
             "import sys, zerosound; "
-            "print(sorted(m for m in ('scipy', 'numba') if m in sys.modules), zerosound.BACKEND)"
+            "print(sorted(m for m in ('scipy', 'numba') if m in sys.modules), zerosound.BACKEND, "
+            "'numpy' in sys.modules)"
         )
         proc = run_python("-c", probe)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["[]", "numpy"]
+        assert proc.stdout.split() == ["[]", "numpy", "False"]
         assert zerosound.BACKEND == "numpy"
+
+    @pytest.mark.parametrize("argv, numpy_loaded", [
+        (["solve", "--Q0", "1"], False),
+        (["scan", "--Q0", "1", "--k-min", "0.1", "--k-max", "1", "--points", "3"], False),
+        (["--help"], False),
+        (["simulate", "--Q0", "3", "--n-mu", "16", "--steps", "1024", "--out", "{out}"], True),
+        (["compare", "--Q0", "3", "--n-mu", "16", "--steps", "1024"], True),
+    ])
+    def test_only_the_kinetic_commands_load_numpy(self, argv, numpy_loaded, tmp_path):
+        argv = [arg.format(out=tmp_path / "trace.csv") for arg in argv]
+        proc = run_python("-X", "importtime", "-m", "zerosound", *argv)
+        assert proc.returncode == 0, proc.stderr
+        assert ("numpy" in _imported_modules(proc.stderr)) is numpy_loaded
 
 
 def _tone(omega, n, dt):

@@ -2,6 +2,7 @@
 
 import ast
 import inspect
+from pathlib import Path
 
 import zerosound
 from zerosound import cli, dispersion, errors, kinetic, model
@@ -41,6 +42,25 @@ def test_cli_imports_no_numpy():
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             imported.add(node.module.partition(".")[0])
     assert "numpy" not in imported
+
+
+def test_no_module_imports_numpy_when_loaded():
+    # numpy is imported on first use, in the bodies of the functions that
+    # need it, so `import zerosound` and the solve and scan commands skip it
+    paths = sorted(Path(zerosound.__file__).parent.glob("*.py"))
+    assert {"cli.py", "kinetic.py"} <= {path.name for path in paths}
+    for path in paths:
+        imported, pending = set(), list(ast.parse(path.read_text(encoding="utf-8")).body)
+        while pending:
+            node = pending.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue  # a function body runs when called, not when loaded
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.partition(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.partition(".")[0])
+            pending.extend(ast.iter_child_nodes(node))
+        assert "numpy" not in imported, path.name
 
 
 def test_time_domain_oracle_stays_independent():
