@@ -34,11 +34,23 @@ from .model import InteractionModel, coupling_strength, load_parameter_file
 __all__ = ["main", "build_parser"]
 
 
-def _fmt(value):
-    """One CSV/JSON cell: 17-significant-digit decimal, 'nan' for missing."""
+def _cell(value):
+    """One CSV cell: text as is, true/false, empty for None, 17 significant digits."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, bool):
+        return "true" if value else "false"
     if value is None:
-        return "nan"
-    return format(float(value), ".17g")
+        return ""
+    return format(value, ".17g")
+
+
+def _csv(header, rows):
+    return "".join(",".join(map(_cell, row)) + "\n" for row in (header, *rows))
+
+
+# JSON escapes for the backslash, the quote and the control characters
+_JSON_ESCAPES = {ord("\\"): "\\\\", ord('"'): '\\"', **{c: f"\\u{c:04x}" for c in range(0x20)}}
 
 
 def _json_value(value):
@@ -47,16 +59,12 @@ def _json_value(value):
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, str):
-        escaped = value.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{escaped}"'
+        return f'"{value.translate(_JSON_ESCAPES)}"'
     if isinstance(value, int):
         return str(value)
     if isinstance(value, float):
-        if math.isnan(value):
-            return '"nan"'
-        if math.isinf(value):
-            return '"inf"' if value > 0 else '"-inf"'
-        return format(value, ".17g")
+        text = format(value, ".17g")
+        return text if math.isfinite(value) else f'"{text}"'
     if isinstance(value, dict):
         return _json_object(value)
     if isinstance(value, list):
@@ -82,12 +90,13 @@ def _write_text(path, text):
 
 def build_parser():
     solver_flags = argparse.ArgumentParser(add_help=False)
-    solver_flags.add_argument("--tol", type=float, default=1e-12,
-                              help="accepted |residual| of the exact root (default 1e-12)")
-    solver_flags.add_argument("--max-iter", type=int, default=200,
-                              help="bisection iteration budget (default 200)")
-    solver_flags.add_argument("--switch-a", type=float, default=0.06,
-                              help="coupling below which the closed weak-coupling form is used")
+    solver_flags.add_argument("--tol", type=float, default=SolverConfig.tolerance,
+                              help="accepted |residual| of the exact root (default %(default)s)")
+    solver_flags.add_argument("--max-iter", type=int, default=SolverConfig.max_iterations,
+                              help="bisection iteration budget (default %(default)s)")
+    solver_flags.add_argument("--switch-a", type=float, default=SolverConfig.asymptotic_switch_A,
+                              help="coupling below which the closed weak-coupling form is used "
+                                   "(default %(default)s)")
     # simulate has no physical-unit output, so it takes no parameter file
     params_flag = argparse.ArgumentParser(add_help=False)
     params_flag.add_argument("--params-file", default=None, metavar="PATH",
@@ -169,25 +178,22 @@ def run_solve(args):
     return 0
 
 
-_SCAN_HEADER = "k_lambda_d,Q0,A,S,S_minus_1,omega_over_k_vF,method,residual"
+_SCAN_HEADER = ("k_lambda_d", "Q0", "A", "S", "S_minus_1", "omega_over_k_vF", "method", "residual")
 
 
-def _scan_csv(scan, model):
+def _scan_rows(scan, model):
     by_k = {p.k_lambda_d: p for p in scan.points}
-    lines = [_SCAN_HEADER]
     for k in scan.grid.values():
         p = by_k.get(k)
         if p is not None:
             # the phase velocity over v_F is S itself in these units
-            cells = (p.k_lambda_d, p.Q0, p.A, p.S, p.S_minus_1, p.S, p.method.value, p.residual)
-        else:
-            try:
-                a = coupling_strength(model, k).A
-            except ZeroSoundError:  # A = Q0 + (3/4) k^2 overflows: a nan cell
-                a = None
-            cells = (k, model.Q0, a, None, None, None, "error", None)
-        lines.append(",".join(c if isinstance(c, str) else _fmt(c) for c in cells))
-    return "\n".join(lines) + "\n"
+            yield p.k_lambda_d, p.Q0, p.A, p.S, p.S_minus_1, p.S, p.method.value, p.residual
+            continue
+        try:
+            a = coupling_strength(model, k).A
+        except ZeroSoundError:  # A = Q0 + (3/4) k^2 overflows: a nan cell
+            a = math.nan
+        yield k, model.Q0, a, math.nan, math.nan, math.nan, "error", math.nan
 
 
 def _scan_json(scan):
@@ -208,7 +214,7 @@ def run_scan(args):
     )
     model = InteractionModel(args.Q0)
     scan = branch_scan(model, grid, _solver_config(args), _load_params(args))
-    text = _scan_csv(scan, model) if args.format == "csv" else _scan_json(scan)
+    text = _csv(_SCAN_HEADER, _scan_rows(scan, model)) if args.format == "csv" else _scan_json(scan)
     _write_text(args.out, text)
     return 0
 
@@ -292,17 +298,13 @@ def _compare_rows(args):
 
 def _compare_csv(rows):
     methods = [row["method"] for row in rows]
-    header = "method,S,S_minus_1,above_continuum,error," + ",".join(
-        "dev_" + m.replace("-", "_") for m in methods
-    )
-    lines = [header]
-    for row in rows:
-        devs = ",".join(_fmt(row["deviations"][m]) for m in methods)
-        lines.append(
-            f"{row['method']},{_fmt(row['S'])},{_fmt(row['S_minus_1'])},"
-            f"{'true' if row['above_continuum'] else 'false'},{row['error'] or ''},{devs}"
-        )
-    return "\n".join(lines) + "\n"
+    header = ("method", "S", "S_minus_1", "above_continuum", "error",
+              *("dev_" + m.replace("-", "_") for m in methods))
+    return _csv(header, (
+        (row["method"], row["S"], row["S_minus_1"], row["above_continuum"], row["error"],
+         *(row["deviations"][m] for m in methods))
+        for row in rows
+    ))
 
 
 def run_compare(args):

@@ -28,8 +28,9 @@ from .model import (
     DispersionPoint,
     InteractionModel,
     Method,
+    _require_count,
     _require_finite,
-    _require_integer,
+    _require_non_negative,
     _require_positive,
     as_coupling,
     coupling_strength,
@@ -72,12 +73,8 @@ class SolverConfig:
 
     def __post_init__(self):
         _require_positive("tolerance", self.tolerance)
-        if _require_integer("max_iterations", self.max_iterations) < 1:
-            raise InvalidArgumentError(f"max_iterations must be >= 1, got {self.max_iterations!r}")
-        if _require_finite("asymptotic_switch_A", self.asymptotic_switch_A) < 0.0:
-            raise InvalidArgumentError(
-                f"asymptotic_switch_A must be non-negative, got {self.asymptotic_switch_A!r}"
-            )
+        _require_count("max_iterations", self.max_iterations, 1)
+        _require_non_negative("asymptotic_switch_A", self.asymptotic_switch_A)
 
 
 def _kernel_series(S):
@@ -143,20 +140,6 @@ def _positive_coupling(coupling):
     return c
 
 
-def _point_from_log_excess(c, v, residual, method):
-    u = math.exp(v)  # may underflow; S then rounds to the band edge
-    return DispersionPoint(
-        k_lambda_d=c.k_lambda_d,
-        Q0=c.Q0,
-        A=c.A,
-        S=1.0 + u,
-        S_minus_1=u,
-        log_excess=v,
-        method=method,
-        residual=residual,
-    )
-
-
 def asymptotic_zero_sound(coupling):
     """Weak-coupling closed form S = 1 + 2 exp(-2 - 2/A).
 
@@ -211,7 +194,17 @@ def solve_zero_sound(coupling, config=None):
             f"residual {r_best!r} above tolerance {cfg.tolerance!r} for A = {a!r}",
             bracket,
         )
-    return _point_from_log_excess(c, v_best, r_best, Method.EXACT)
+    u = math.exp(v_best)  # may underflow; S then rounds to the band edge
+    return DispersionPoint(
+        k_lambda_d=c.k_lambda_d,
+        Q0=c.Q0,
+        A=c.A,
+        S=1.0 + u,
+        S_minus_1=u,
+        log_excess=v_best,
+        method=Method.EXACT,
+        residual=r_best,
+    )
 
 
 def high_frequency_branch(Q0, k_lambda_d, mass_convention="effective", params=None):
@@ -268,12 +261,7 @@ class GridSpec:
         _require_positive("k_min", self.k_min)
         if _require_finite("k_max", self.k_max) < self.k_min:
             raise InvalidArgumentError(f"k_max must be >= k_min, got {self.k_max!r}")
-        if _require_integer("count", self.count) < 1:
-            raise InvalidArgumentError(f"count must be >= 1, got {self.count!r}")
-        if self.count > MAX_SCAN_POINTS:
-            raise InvalidArgumentError(
-                f"count must be <= MAX_SCAN_POINTS = {MAX_SCAN_POINTS}, got {self.count!r}"
-            )
+        _require_count("count", self.count, 1, "MAX_SCAN_POINTS", MAX_SCAN_POINTS)
         if self.count >= 2 and self.k_max == self.k_min:
             raise InvalidArgumentError("k_max must exceed k_min for a multi-point grid")
         if self.spacing not in ("linear", "log"):

@@ -73,7 +73,7 @@ class IOFailureError(ZeroSoundError):
 
 
 class NumericalBlowupError(ZeroSoundError):
-    """Time evolution produced non-finite values."""
+    """Time evolution, or the spectrum of its trace, produced non-finite values."""
 
     label = "numerical-blowup"
     exit_code = 7

@@ -32,7 +32,7 @@ from .errors import (
     NoUndampedRootError,
     NumericalBlowupError,
 )
-from .model import _require_integer, _require_positive, as_coupling
+from .model import _require_count, _require_positive, as_coupling
 
 __all__ = [
     "AngularGrid",
@@ -140,13 +140,7 @@ def build_angular_grid(size):
     within 3e-16 absolute.  Nodes are exactly antisymmetric, weights
     exactly symmetric, and an odd grid has the node 0.0.
     """
-    size = _require_integer("grid size", size)
-    if size < 4:
-        raise InvalidArgumentError(f"grid size must be >= 4, got {size!r}")
-    if size > MAX_GRID_SIZE:
-        raise InvalidArgumentError(
-            f"grid size must be <= MAX_GRID_SIZE = {MAX_GRID_SIZE}, got {size!r}"
-        )
+    size = _require_count("grid size", size, 4, "MAX_GRID_SIZE", MAX_GRID_SIZE)
     nodes, weights = _gauss_legendre(size)
     nodes.setflags(write=False)
     weights.setflags(write=False)
@@ -191,10 +185,9 @@ def discrete_collective_root(coupling, grid):
 
 @dataclass(frozen=True)
 class AngularState:
-    """Distribution amplitude on the grid nodes at one instant."""
+    """Distribution amplitude on the grid nodes at t = 0, where evolution starts."""
 
     values: np.ndarray
-    time: float = 0.0
 
     def __post_init__(self):
         import numpy as np
@@ -331,11 +324,7 @@ def evolve_initial_value(coupling, grid, initial, dt, steps):
     bound = stability_bound(c)
     if dt > bound:
         raise InvalidArgumentError(f"dt = {dt!r} exceeds the stability bound {bound!r} at A = {c.A!r}")
-    steps = _require_integer("steps", steps)
-    if steps < 2:
-        raise InvalidArgumentError(f"steps must be >= 2, got {steps!r}")
-    if steps > MAX_STEPS:
-        raise InvalidArgumentError(f"steps must be <= MAX_STEPS = {MAX_STEPS}, got {steps!r}")
+    steps = _require_count("steps", steps, 2, "MAX_STEPS", MAX_STEPS)
     if initial.values.shape[0] != grid.size:
         raise InvalidArgumentError(
             f"state has {initial.values.shape[0]} values for a grid of {grid.size}"
@@ -371,33 +360,40 @@ def spectral_peak(series, window="hann"):
     must both rise a factor 4 above the flat-spectrum level and sit
     strictly inside the search band; otherwise no collective peak is
     declared.  bin_width reports the resolution 2 pi / (dt n) of the
-    unpadded record.
+    unpadded record.  The frequency does not depend on the amplitude of
+    the trace, and the peak amplitude scales with it, down to subnormal
+    samples; a trace so large that its spectrum overflows raises
+    NumericalBlowupError.
     """
     import numpy as np
     if window not in ("hann", "none"):
         raise InvalidArgumentError(f"window must be 'hann' or 'none', got {window!r}")
-    x = np.asarray(series.samples, dtype=np.complex128)
+    x = series.samples
     n = x.shape[0]
     if n < 64:
         raise InvalidArgumentError(f"need at least 64 samples, got {n}")
     dt = series.dt
-
-    if window == "hann":
-        w = np.hanning(n)
-    else:
-        w = np.ones(n)
-    xw = x * w
-
-    # energy of a flat spectrum: every padded bin of pure noise sits near
-    # E / sqrt(n_pad) on average, and sum |X_k|^2 = n_pad sum |x_j|^2, so
-    # a genuine line must clear a fixed multiple of the rms level
-    energy = math.sqrt(float(np.sum(np.abs(xw) ** 2)))
-    if energy == 0.0:
-        raise NoCollectivePeakError("signal is identically zero")
+    xw = x * np.hanning(n) if window == "hann" else x
 
     n_pad = _PAD_FACTOR * n
-    spectrum = np.fft.fft(np.conj(xw), n=n_pad)
-    mag = np.abs(spectrum) / math.sqrt(n_pad)
+    # at the top of the float range a modulus or the transform overflows:
+    # reported just below, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        modulus = np.abs(xw)
+        mag = np.abs(np.fft.fft(np.conj(xw), n=n_pad)) / math.sqrt(n_pad)
+    largest = float(np.max(modulus))
+    if not (math.isfinite(largest) and np.all(np.isfinite(mag))):
+        raise NumericalBlowupError(
+            f"spectrum of the trace is not finite (samples up to {largest!r} in modulus, "
+            f"{n_pad}-point transform); a smaller initial amplitude avoids an overflow"
+        )
+    if largest == 0.0:
+        raise NoCollectivePeakError("signal is identically zero")
+    # energy of a flat spectrum: every padded bin of pure noise sits near
+    # E / sqrt(n_pad) on average, and sum |X_k|^2 = n_pad sum |x_j|^2, so
+    # a genuine line must clear a fixed multiple of the rms level; squaring
+    # |x_j| over its largest value, none overflows or underflows to zero
+    energy = largest * math.sqrt(float(np.sum((modulus / largest) ** 2)))
     d_omega = 2.0 * math.pi / (n_pad * dt)
 
     k_min = int(math.floor(1.0 / d_omega)) + 1  # first bin strictly above the band
@@ -407,7 +403,7 @@ def spectral_peak(series, window="hann"):
 
     band = mag[k_min:k_max]
     j = k_min + int(np.argmax(band))
-    peak = mag[j]
+    peak = float(mag[j])
     # a leakage skirt from the band below rolls off monotonically, putting
     # its maximum on the band edge; a real line is an interior maximum
     if j == k_min or j >= k_max - 1:
@@ -428,6 +424,6 @@ def spectral_peak(series, window="hann"):
                 shift = 0.0
     return SpectralPeak(
         frequency=(j + shift) * d_omega,
-        amplitude=float(peak),
+        amplitude=peak,
         bin_width=2.0 * math.pi / (n * dt),
     )

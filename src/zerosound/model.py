@@ -42,12 +42,24 @@ def _require_positive(name, value):
     return value
 
 
-def _require_integer(name, value):
+def _require_non_negative(name, value):
+    value = _require_finite(name, value)
+    if value < 0.0:
+        raise InvalidArgumentError(f"{name} must be non-negative, got {value!r}")
+    return value
+
+
+def _require_count(name, value, least, ceiling_name=None, ceiling=None):
     # operator.index takes Python and numpy integers and refuses 2.5 and 2.0
     try:
-        return operator.index(value)
+        count = operator.index(value)
     except TypeError:
         raise InvalidArgumentError(f"{name} must be an integer, got {value!r}") from None
+    if count < least:
+        raise InvalidArgumentError(f"{name} must be >= {least}, got {count!r}")
+    if ceiling is not None and count > ceiling:
+        raise InvalidArgumentError(f"{name} must be <= {ceiling_name} = {ceiling}, got {count!r}")
+    return count
 
 
 @dataclass(frozen=True)
@@ -90,10 +102,7 @@ class InteractionModel:
     Q0: float
 
     def __post_init__(self):
-        q = _require_finite("Q0", self.Q0)
-        if q < 0.0:
-            raise InvalidArgumentError(f"Q0 must be non-negative, got {q!r}")
-        object.__setattr__(self, "Q0", q)
+        object.__setattr__(self, "Q0", _require_non_negative("Q0", self.Q0))
 
 
 @dataclass(frozen=True)
@@ -116,9 +125,7 @@ class CouplingStrength:
 
 def coupling_strength(model, k_lambda_d):
     """Combine interaction and diffraction into A = Q0 + (3/4)(k lambda_d)^2."""
-    k = _require_finite("k_lambda_d", k_lambda_d)
-    if k < 0.0:
-        raise InvalidArgumentError(f"k_lambda_d must be non-negative, got {k!r}")
+    k = _require_non_negative("k_lambda_d", k_lambda_d)
     a = model.Q0 + 0.75 * k * k
     return CouplingStrength(A=a, k_lambda_d=k, Q0=model.Q0)
 
@@ -127,9 +134,8 @@ def as_coupling(value):
     """Accept either a CouplingStrength or a bare A value."""
     if isinstance(value, CouplingStrength):
         return value
-    a = _require_finite("A", value)
     # a bare number is treated as pure interaction at k -> 0
-    return CouplingStrength(A=a, k_lambda_d=0.0, Q0=a)
+    return CouplingStrength(A=value, k_lambda_d=0.0, Q0=value)
 
 
 class Method(str, Enum):

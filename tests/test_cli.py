@@ -9,7 +9,10 @@ import contextlib
 import io
 import json
 import math
+import sys
+import tempfile
 import warnings
+from pathlib import Path
 
 import pytest
 from conftest import run_cli
@@ -18,11 +21,20 @@ from hypothesis import given, settings, strategies as st
 from zerosound import (
     DispersionPoint,
     InteractionModel,
+    SolverConfig,
     asymptotic_zero_sound,
     coupling_strength,
     solve_zero_sound,
 )
-from zerosound.cli import main
+from zerosound.cli import _json_value, build_parser, main
+
+
+def _main(argv):
+    """main(argv) with stdout and stderr captured: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
 
 SCAN_HEADER = "k_lambda_d,Q0,A,S,S_minus_1,omega_over_k_vF,method,residual"
 
@@ -77,6 +89,15 @@ class TestSolve:
             err = json.loads(captured.err)
             assert err["error"] == "invalid-argument"
             assert "smallest supported coupling" in err["message"]
+
+    def test_control_characters_in_a_path_are_escaped(self, tmp_path):
+        path = str(tmp_path / "x\ny")
+        with pytest.raises(OSError) as exc:
+            open(path, encoding="utf-8")
+        code, out, err = _main(["solve", "--Q0", "1", "--params-file", path])
+        assert (code, out) == (6, "")
+        assert err.count("\n") == 1
+        assert json.loads(err)["message"] == f"cannot read parameter file {path}: {exc.value}"
 
     def test_bad_params_file_exit_codes(self, tmp_path):
         path = tmp_path / "p.txt"
@@ -138,6 +159,16 @@ class TestScan:
         assert main(["scan", "--Q0", "1", "--k-min", "0.1", "--k-max", "1",
                      "--points", "2", "--out", "/no-such-directory/scan.csv"]) == 6
         assert json.loads(capsys.readouterr().err)["error"] == "io"
+
+    def test_control_characters_in_the_output_path_are_escaped(self, tmp_path):
+        path = str(tmp_path / "missing" / "a\nb")
+        with pytest.raises(OSError) as exc:
+            open(path, "w", encoding="utf-8")
+        code, out, err = _main(["scan", "--Q0", "1", "--k-min", "0.1", "--k-max", "1",
+                                "--points", "2", "--out", path])
+        assert (code, out) == (6, "")
+        assert err.count("\n") == 1
+        assert json.loads(err) == {"error": "io", "message": f"cannot write {path}: {exc.value}"}
 
     def test_failure_rows_keep_grid_order(self, capsys):
         args = ["scan", "--Q0", "0", "--k-min", "1e-170", "--k-max", "1e-150",
@@ -201,6 +232,20 @@ class TestSimulate:
                      "--n-mu", "16", "--out", str(out)]) == 5
         assert json.loads(capsys.readouterr().err)["error"] == "no-collective-peak"
         assert not out.exists()
+
+    @pytest.mark.parametrize("amplitude", [2.0**-500, 1e-300, 1e300])
+    def test_peak_does_not_depend_on_amplitude(self, amplitude, tmp_path):
+        argv = ["simulate", "--Q0", "1", "--n-mu", "32", "--steps", "2048",
+                "--out", str(tmp_path / "t.csv")]
+        code, out, _ = _main(argv)
+        assert code == 0
+        unit = json.loads(out)
+        code, out, err = _main([*argv, "--amplitude", repr(amplitude)])
+        assert (code, err) == (0, "")
+        scaled = json.loads(out)
+        assert abs(scaled["peak_frequency"] - unit["peak_frequency"]) <= 1e-12
+        assert scaled["peak_amplitude"] == pytest.approx(
+            amplitude * unit["peak_amplitude"], rel=1e-12, abs=0.0)
 
     def test_single_step_rejected(self, tmp_path):
         assert main(["simulate", "--Q0", "1", "--steps", "1", "--out", str(tmp_path / "t.csv")]) == 2
@@ -406,12 +451,10 @@ FLOAT_TEXT = st.one_of(
 def test_solve_ends_in_a_result_or_a_labeled_error(q0, k, tol, switch):
     # the "--flag=value" form, since argparse takes "-1e-05" for an option
     argv = ["solve", f"--Q0={q0}", f"--k-lambda={k}", f"--tol={tol}", f"--switch-a={switch}"]
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+    code, out, err = _main(argv)
     if code == 0:
-        assert err.getvalue() == ""
-        point = DispersionPoint.from_json_dict(json.loads(out.getvalue()))
+        assert err == ""
+        point = DispersionPoint.from_json_dict(json.loads(out))
         if point.method.value == "exact":
             assert abs(point.residual) <= float(tol)
         else:
@@ -422,10 +465,89 @@ def test_solve_ends_in_a_result_or_a_labeled_error(q0, k, tol, switch):
         assert math.isfinite(point.S)
     else:
         assert code in (2, 3, 4)
-        assert out.getvalue() == ""
-        assert err.getvalue().count("\n") == 1
-        assert json.loads(err.getvalue())["error"] in (
-            "invalid-argument", "no-undamped-root", "convergence")
+        assert out == ""
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"] in ("invalid-argument", "no-undamped-root", "convergence")
+
+
+# --dt up to the stability bound 0.1 / (1 + A) = 0.05 at Q0 = 1, mostly in
+# the range that resolves the line, the special spellings and values just
+# outside; None leaves --dt at its default
+DT_TEXT = st.one_of(
+    st.none(),
+    st.floats(min_value=1e-3, max_value=0.05).map(repr),
+    st.floats(min_value=5e-324, max_value=0.05).map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "-0.01", "0", "5e-324", "0.05", "0.05000000000000001"]),
+)
+# zero, and both signs over the whole positive float range, by decade
+AMPLITUDE_TEXT = st.one_of(
+    st.just("0"),
+    st.builds(lambda sign, e: repr(sign * 10.0**e),
+              st.sampled_from((1.0, -1.0)), st.floats(-323.3, 308.25)),
+    st.floats(min_value=5e-324, max_value=sys.float_info.max).map(repr),
+)
+# the summary fields that hold text; every other one is a finite number
+SUMMARY_TEXT_FIELDS = {"window", "analytic_method"}
+
+
+@settings(max_examples=100, deadline=None)
+@given(n_mu=st.integers(4, 64), steps=st.one_of(st.integers(2, 4096), st.integers(1024, 4096)),
+       dt=DT_TEXT, amplitude=AMPLITUDE_TEXT)
+def test_kinetic_commands_end_in_a_result_or_a_labeled_error(n_mu, steps, dt, amplitude):
+    knobs = ["--Q0=1", f"--n-mu={n_mu}", f"--steps={steps}", *([f"--dt={dt}"] if dt else [])]
+    with tempfile.TemporaryDirectory() as tmp:
+        trace = Path(tmp) / "t.csv"
+        code, out, err = _main(["simulate", *knobs, f"--amplitude={amplitude}", f"--out={trace}"])
+        if code == 0:
+            assert err == ""
+            summary = json.loads(out)
+            numbers = {key: value for key, value in summary.items()
+                       if key not in SUMMARY_TEXT_FIELDS}
+            assert all(isinstance(value, (int, float)) for value in numbers.values()), numbers
+            assert all(math.isfinite(value) for value in numbers.values()), numbers
+            assert len(trace.read_text().splitlines()) == 1 + steps + 1
+        else:
+            assert code in (2, 5, 7)
+            assert out == ""
+            assert err.count("\n") == 1
+            assert json.loads(err)["error"] in (
+                "invalid-argument", "no-collective-peak", "numerical-blowup")
+            assert not trace.exists()
+
+    code, out, err = _main(["compare", *knobs, "--format=json"])
+    assert (code, err) == (0, "")
+    rows = json.loads(out)["rows"]
+    assert len(rows) == 5
+    for row in rows:
+        if row["error"] is None:
+            assert isinstance(row["S"], (int, float)) and math.isfinite(row["S"])
+        else:
+            assert row["S"] == "nan"
+
+
+def test_json_strings_escape_every_control_character():
+    text = "".join(map(chr, range(0x20))) + '"\\' + "\u00e9\u2028"
+    encoded = _json_value(text)
+    assert min(map(ord, encoded)) >= 0x20
+    assert json.loads(encoded) == text
+
+
+class TestSolverDefaults:
+    """The solver flags take their defaults from SolverConfig, and say so."""
+
+    @pytest.mark.parametrize("command", sorted(BASE_ARGV))
+    def test_no_flags_parse_to_the_config_defaults(self, command):
+        argv = [*BASE_ARGV[command], *(["--out", "t.csv"] if command == "simulate" else [])]
+        args = build_parser().parse_args(argv)
+        assert SolverConfig(args.tol, args.max_iter, args.switch_a) == SolverConfig()
+
+    def test_help_prints_the_defaults(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["solve", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        config = SolverConfig()
+        for value in (config.tolerance, config.max_iterations, config.asymptotic_switch_A):
+            assert f"(default {value})" in text
 
 
 class TestEntryPoint:

@@ -456,6 +456,19 @@ class TestSpectralPeak:
         with pytest.raises(NoCollectivePeakError):
             spectral_peak(series)
 
+    def test_noise_floor_message_prints_a_plain_float(self):
+        rng = np.random.default_rng(7)
+        noise = rng.standard_normal(4096) + 1j * rng.standard_normal(4096)
+        with pytest.raises(NoCollectivePeakError, match="noise floor") as exc:
+            spectral_peak(TimeSeries(dt=0.05, samples=noise))
+        assert "np.float64" not in str(exc.value)
+
+    def test_overflowing_spectrum_is_a_blowup(self):
+        # every sample is finite, but the transform sums past the float range
+        tone = _tone(1.5, 4096, 0.05)
+        with pytest.raises(NumericalBlowupError, match="initial amplitude"):
+            spectral_peak(TimeSeries(dt=tone.dt, samples=1e306 * tone.samples))
+
     def test_validation(self):
         with pytest.raises(InvalidArgumentError):
             spectral_peak(_tone(1.5, 63, 0.05))

@@ -91,3 +91,19 @@ def test_time_domain_oracle_stays_independent():
             )
     assert "_row_powers" in reached  # the walk follows helpers
     assert not reached & {"secular_sum", "discrete_collective_root"}
+
+
+def test_range_messages_are_written_only_in_model():
+    # count and sign checks go through model's helpers, so a hand-written
+    # one cannot come back in another module; "k_max must be >= k_min"
+    # bounds one knob by another, not by a number, and stays with GridSpec
+    phrases = ("must be >=", "must be <=", "must be non-negative", "must be an integer")
+    knob_against_knob = {"k_max must be >= k_min, got "}
+    found = {}
+    for path in sorted(Path(zerosound.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                for phrase in phrases:
+                    if phrase in node.value and node.value not in knob_against_knob:
+                        found.setdefault(phrase, set()).add(path.name)
+    assert found == {phrase: {"model.py"} for phrase in phrases}
