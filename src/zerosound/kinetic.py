@@ -220,16 +220,17 @@ class TimeSeries:
 
 
 def stability_bound(coupling):
-    """Largest step size accepted by the evolver, 0.1 / (1 + A).
+    """Largest step size accepted by the evolver, 0.1 / (1 + max(A, 0)).
 
     Comfortably inside the RK4 stability region for the purely imaginary
-    spectrum of this system (|lambda| <= 1 + A) and small enough that
-    phase error stays below the spectral resolution of typical runs.
+    spectrum of this system (|lambda| <= 1 + max(A, 0): for A < 0 the node
+    band still reaches |lambda| ~ 1) and small enough that phase error
+    stays below the spectral resolution of typical runs.
     """
     a = as_coupling(coupling).A
     if a <= -1.0:
         raise InvalidArgumentError(f"stability bound needs A > -1, got A = {a!r}")
-    return 0.1 / (1.0 + a)
+    return 0.1 / (1.0 + max(a, 0.0))
 
 
 def _block_size(n):

@@ -229,6 +229,16 @@ class TestEvolve:
         total_time = 0.02 * 16384
         assert float(np.max(np.abs(out.samples))) <= 1.0 + 1e-6 * total_time
 
+    @pytest.mark.parametrize("a", [-0.5, -0.97, -0.999])
+    def test_bounded_oscillation_at_negative_coupling(self, a):
+        # for A < 0 the node band still reaches |lambda| ~ 1, so the bound
+        # stays at its A = 0 value instead of growing as 0.1 / (1 + A)
+        g = build_angular_grid(64)
+        state = AngularState(np.ones(64, dtype=np.complex128))
+        dt = stability_bound(a)
+        out = evolve_initial_value(a, g, state, dt, 4096)
+        assert float(np.max(np.abs(out.samples))) <= 1.0 + 1e-6 * dt * 4096
+
     def test_linearity(self):
         g = build_angular_grid(24)
         base = np.ones(24, dtype=np.complex128)
@@ -254,7 +264,7 @@ class TestEvolve:
             evolve_initial_value(1.0, g, state, math.nextafter(bound, 1.0), 2)
 
     def test_stability_bound_needs_coupling_above_minus_one(self):
-        # 0.1 / (1 + A) has no finite positive value from A = -1 down
+        # -1 < A < 0 takes the A = 0 bound; from A = -1 down it is rejected
         for a in (-1.0, -2.0):
             with pytest.raises(InvalidArgumentError, match=r"A > -1.*A = " + repr(a)):
                 stability_bound(a)
@@ -263,8 +273,7 @@ class TestEvolve:
         with pytest.raises(InvalidArgumentError, match=r"A > -1"):
             evolve_initial_value(-1.0, g, state, 0.02, 10)
         closest = math.nextafter(-1.0, 0.0)
-        assert stability_bound(closest) == 0.1 / (1.0 + closest)
-        assert 0.0 < stability_bound(closest) < math.inf
+        assert stability_bound(closest) == 0.1
 
     def test_steps_must_be_an_integer(self):
         g = build_angular_grid(8)
