@@ -130,7 +130,7 @@ def build_parser():
     p_sim.add_argument("--k-lambda", type=float, default=0.0)
     p_sim.add_argument("--n-mu", type=int, default=128, help="angular grid size")
     p_sim.add_argument("--dt", type=float, default=None,
-                       help="time step (default: the stability bound 0.1/(1+max(A,0)))")
+                       help="time step (default: the stability bound 0.1/(1+A))")
     p_sim.add_argument("--steps", type=int, default=16384)
     p_sim.add_argument("--window", choices=("hann", "none"), default="hann")
     p_sim.add_argument("--amplitude", type=float, default=1.0,

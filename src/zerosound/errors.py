@@ -73,7 +73,7 @@ class IOFailureError(ZeroSoundError):
 
 
 class NumericalBlowupError(ZeroSoundError):
-    """Time evolution, or the spectrum of its trace, produced non-finite values."""
+    """A result of the time evolution or of its spectrum left the float range."""
 
     label = "numerical-blowup"
     exit_code = 7

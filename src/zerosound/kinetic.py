@@ -21,8 +21,8 @@ commands, loads no numpy.
 
 from __future__ import annotations
 
-import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 from ._roots import increasing_root
@@ -183,6 +183,17 @@ def discrete_collective_root(coupling, grid):
     return mu_max + math.exp(w)
 
 
+def _finite_vector(name, values):
+    import numpy as np
+    values = np.asarray(values, dtype=np.complex128, order="C")  # _unit_scale views it as floats
+    if values.ndim != 1:
+        raise InvalidArgumentError(f"{name} must be one-dimensional, got shape {values.shape}")
+    if not np.all(np.isfinite(values)):
+        raise InvalidArgumentError(f"{name} must be finite")
+    values.setflags(write=False)
+    return values
+
+
 @dataclass(frozen=True)
 class AngularState:
     """Distribution amplitude on the grid nodes at t = 0, where evolution starts."""
@@ -190,14 +201,7 @@ class AngularState:
     values: np.ndarray
 
     def __post_init__(self):
-        import numpy as np
-        values = np.asarray(self.values, dtype=np.complex128)
-        if values.ndim != 1:
-            raise InvalidArgumentError(f"state must be one-dimensional, got shape {values.shape}")
-        if not np.all(np.isfinite(values.view(np.float64))):
-            raise InvalidArgumentError("state values must be finite")
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", _finite_vector("state values", self.values))
 
 
 @dataclass(frozen=True)
@@ -208,10 +212,8 @@ class TimeSeries:
     samples: np.ndarray
 
     def __post_init__(self):
-        import numpy as np
-        samples = np.asarray(self.samples, dtype=np.complex128)
-        samples.setflags(write=False)
-        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "dt", _require_positive("dt", self.dt))
+        object.__setattr__(self, "samples", _finite_vector("samples", self.samples))
 
     @property
     def times(self):
@@ -223,14 +225,32 @@ def stability_bound(coupling):
     """Largest step size accepted by the evolver, 0.1 / (1 + max(A, 0)).
 
     Comfortably inside the RK4 stability region for the purely imaginary
-    spectrum of this system (|lambda| <= 1 + max(A, 0): for A < 0 the node
-    band still reaches |lambda| ~ 1) and small enough that phase error
-    stays below the spectral resolution of typical runs.
+    spectrum of this system (|lambda| <= 1 + max(A, 0): the node band alone
+    reaches 1) and small enough that phase error stays below the spectral
+    resolution of typical runs.
     """
     a = as_coupling(coupling).A
     if a <= -1.0:
         raise InvalidArgumentError(f"stability bound needs A > -1, got A = {a!r}")
     return 0.1 / (1.0 + max(a, 0.0))
+
+
+def _unit_scale(x):
+    import numpy as np
+    # x = 2^e u with the largest real or imaginary part of u in [0.5, 1) (e = 0
+    # for x = 0): a power-of-two scaling is exact, so the linear evolution and
+    # transform run on u, where nothing overflows, and only results scale back
+    e = math.frexp(float(np.max(np.abs(x.view(np.float64)))))[1]
+    return np.ldexp(x.view(np.float64), -e).view(np.complex128), e
+
+
+def _scale_back(what, x, e):
+    import numpy as np
+    largest = float(np.max(np.abs(x)))
+    if math.frexp(largest)[1] + e > sys.float_info.max_exp:
+        raise NumericalBlowupError(f"{what} {largest!r} * 2**{e} exceeds the float range; "
+                                   "a smaller initial amplitude avoids it")
+    return np.ldexp(x.view(np.float64), e).view(x.dtype)
 
 
 def _block_size(n):
@@ -268,28 +288,32 @@ def _rk4_trace(y, mu, half_w, a, dt, steps):
     # and d^B - 1, added to the identity last, as the RK4 stages add to y:
     # a rounded d ~ 1 would drift the amplitude by up to half an ulp per step.
     n = mu.shape[0]
-    lam = -1j * mu
-    z = dt * lam
-    e = z * (1.0 + z / 2.0 * (1.0 + z / 3.0 * (1.0 + z / 4.0)))  # d - 1
-    cols = [a * lam]
-    rows = [half_w]  # v^T L^m, from t L = t lam + (t . u) v
-    for _ in range(3):
-        cols.append(lam * cols[-1])
-        rows.append(rows[-1] * lam + (rows[-1] @ cols[0]) * half_w)
-    U = np.stack(cols, axis=1)
-    C = np.array([
-        sum(dt**k / math.factorial(k) * rows[k - 1 - p] for k in range(p + 1, 5))
-        for p in range(4)
-    ])
+    # from A ~ 1e115 up the powers of L overflow and the factors hold inf or nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        lam = -1j * mu
+        z = dt * lam
+        e = z * (1.0 + z / 2.0 * (1.0 + z / 3.0 * (1.0 + z / 4.0)))  # d - 1
+        cols = [a * lam]
+        rows = [half_w]  # v^T L^m, from t L = t lam + (t . u) v
+        for _ in range(3):
+            cols.append(lam * cols[-1])
+            rows.append(rows[-1] * lam + (rows[-1] @ cols[0]) * half_w)
+        U = np.stack(cols, axis=1)
+        C = np.array([
+            sum(dt**k / math.factorial(k) * rows[k - 1 - p] for k in range(p + 1, 5))
+            for p in range(4)
+        ])
 
-    b = _block_size(n)
-    F = np.concatenate([_row_powers(t, e, U, C, b) for t in (half_w, *C)])
-    excess = np.zeros((b + 1, n), dtype=np.complex128)  # excess[m] = d^m - 1
-    for m in range(b):
-        excess[m + 1] = excess[m] + e * (1.0 + excess[m])
-    # row p B + m of W is d^(B-1-m) U_p, to meet row B + p B + m of F
-    W = (U.T[:, None, :] * (1.0 + excess[b - 1 :: -1])).reshape(4 * b, n)
-    e_b = excess[b]
+        b = _block_size(n)
+        F = np.concatenate([_row_powers(t, e, U, C, b) for t in (half_w, *C)])
+        excess = np.zeros((b + 1, n), dtype=np.complex128)  # excess[m] = d^m - 1
+        for m in range(b):
+            excess[m + 1] = excess[m] + e * (1.0 + excess[m])
+        # row p B + m of W is d^(B-1-m) U_p, to meet row B + p B + m of F
+        W = (U.T[:, None, :] * (1.0 + excess[b - 1 :: -1])).reshape(4 * b, n)
+        e_b = excess[b]
+    if not (np.all(np.isfinite(F)) and np.all(np.isfinite(W))):
+        raise NumericalBlowupError(f"RK4 step factors are not finite (dt = {dt!r}, A = {a!r})")
 
     total = steps + 1
     trace = np.empty(total, dtype=np.complex128)
@@ -297,11 +321,6 @@ def _rk4_trace(y, mu, half_w, a, dt, steps):
         block = F @ y
         stop = min(start + b, total)
         trace[start:stop] = block[: stop - start]
-        # a non-finite state never turns finite again, and its average (the
-        # block's first sample, over positive weights) is non-finite too, so
-        # one look per block stops an overflowing run within B <= 64 steps
-        if not cmath.isfinite(block[0]):
-            return trace[: start + 1]
         y = y + (e_b * y + block[b:] @ W)
     return trace
 
@@ -311,31 +330,25 @@ def evolve_initial_value(coupling, grid, initial, dt, steps):
 
     Returns steps + 1 samples including the initial instant.  dt must not
     exceed stability_bound(coupling), and steps must lie in
-    [2, MAX_STEPS]; a violation is rejected up front.  Non-finite values
-    in the trace raise NumericalBlowupError; a run whose state overflows
-    stops at most 64 steps after it does.  The steps are taken in blocks
-    of B = min(64, max(1, 2**20 // (144 N))) on N nodes, each block a few
-    matrix-vector products with factors of 144 B N bytes (1 MiB for
-    N <= 7281); the trace agrees with the stage-by-stage RK4 loop to
-    rounding.
+    [2, MAX_STEPS]; a violation is rejected up front.  The run is at unit
+    scale: a state times 2^k gives the trace times 2^k, bit for bit, and
+    NumericalBlowupError means that this trace, or the step's factors (A
+    above about 1e115), leave the float range.  The steps are taken in
+    blocks of B = min(64, max(1, 2**20 // (144 N))) on N nodes, each block
+    a few matrix-vector products with factors of 144 B N bytes (1 MiB for
+    N <= 7281); the trace agrees with the stage-by-stage RK4 loop to rounding.
     """
-    import numpy as np
     c = as_coupling(coupling)
-    _require_positive("dt", dt)
+    dt = _require_positive("dt", dt)
     bound = stability_bound(c)
     if dt > bound:
         raise InvalidArgumentError(f"dt = {dt!r} exceeds the stability bound {bound!r} at A = {c.A!r}")
     steps = _require_count("steps", steps, 2, "MAX_STEPS", MAX_STEPS)
     if initial.values.shape[0] != grid.size:
-        raise InvalidArgumentError(
-            f"state has {initial.values.shape[0]} values for a grid of {grid.size}"
-        )
-    # an overflow shows up as non-finite samples, reported just below
-    with np.errstate(over="ignore", invalid="ignore"):
-        trace = _rk4_trace(initial.values, grid.nodes, 0.5 * grid.weights, c.A, float(dt), steps)
-    if not np.all(np.isfinite(trace.view(np.float64))):
-        raise NumericalBlowupError(f"evolution produced non-finite values (dt = {dt!r}, A = {c.A!r})")
-    return TimeSeries(dt=float(dt), samples=trace)
+        raise InvalidArgumentError(f"state has {len(initial.values)} values for a grid of {grid.size}")
+    y, e = _unit_scale(initial.values)
+    trace = _rk4_trace(y, grid.nodes, 0.5 * grid.weights, c.A, dt, steps)
+    return TimeSeries(dt=dt, samples=_scale_back("trace modulus", trace, e))
 
 
 @dataclass(frozen=True)
@@ -361,10 +374,10 @@ def spectral_peak(series, window="hann"):
     must both rise a factor 4 above the flat-spectrum level and sit
     strictly inside the search band; otherwise no collective peak is
     declared.  bin_width reports the resolution 2 pi / (dt n) of the
-    unpadded record.  The frequency does not depend on the amplitude of
-    the trace, and the peak amplitude scales with it, down to subnormal
-    samples; a trace so large that its spectrum overflows raises
-    NumericalBlowupError.
+    unpadded record.  The transform runs at unit scale, so the frequency
+    does not depend on the amplitude of the trace and the peak amplitude
+    scales with it, from subnormal samples up; a peak amplitude above the
+    float range raises NumericalBlowupError.
     """
     import numpy as np
     if window not in ("hann", "none"):
@@ -374,27 +387,17 @@ def spectral_peak(series, window="hann"):
     if n < 64:
         raise InvalidArgumentError(f"need at least 64 samples, got {n}")
     dt = series.dt
-    xw = x * np.hanning(n) if window == "hann" else x
+    xw, e = _unit_scale(x * np.hanning(n) if window == "hann" else x)
 
     n_pad = _PAD_FACTOR * n
-    # at the top of the float range a modulus or the transform overflows:
-    # reported just below, not warned about
-    with np.errstate(over="ignore", invalid="ignore"):
-        modulus = np.abs(xw)
-        mag = np.abs(np.fft.fft(np.conj(xw), n=n_pad)) / math.sqrt(n_pad)
-    largest = float(np.max(modulus))
-    if not (math.isfinite(largest) and np.all(np.isfinite(mag))):
-        raise NumericalBlowupError(
-            f"spectrum of the trace is not finite (samples up to {largest!r} in modulus, "
-            f"{n_pad}-point transform); a smaller initial amplitude avoids an overflow"
-        )
-    if largest == 0.0:
-        raise NoCollectivePeakError("signal is identically zero")
     # energy of a flat spectrum: every padded bin of pure noise sits near
     # E / sqrt(n_pad) on average, and sum |X_k|^2 = n_pad sum |x_j|^2, so
-    # a genuine line must clear a fixed multiple of the rms level; squaring
-    # |x_j| over its largest value, none overflows or underflows to zero
-    energy = largest * math.sqrt(float(np.sum((modulus / largest) ** 2)))
+    # a genuine line must clear a fixed multiple of the rms level; at unit
+    # scale no |x_j|^2 overflows, and the largest does not underflow
+    energy = math.sqrt(float(np.sum(np.abs(xw) ** 2)))
+    if energy == 0.0:
+        raise NoCollectivePeakError("signal is identically zero")
+    mag = np.abs(np.fft.fft(np.conj(xw), n=n_pad)) / math.sqrt(n_pad)
     d_omega = 2.0 * math.pi / (n_pad * dt)
 
     k_min = int(math.floor(1.0 / d_omega)) + 1  # first bin strictly above the band
@@ -402,29 +405,24 @@ def spectral_peak(series, window="hann"):
     if k_max - k_min < 3:
         raise InvalidArgumentError(f"no searchable band above the continuum at dt = {dt!r}")
 
-    band = mag[k_min:k_max]
-    j = k_min + int(np.argmax(band))
-    peak = float(mag[j])
+    j = k_min + int(np.argmax(mag[k_min:k_max]))
     # a leakage skirt from the band below rolls off monotonically, putting
     # its maximum on the band edge; a real line is an interior maximum
     if j == k_min or j >= k_max - 1:
         raise NoCollectivePeakError("no interior maximum above the continuum band")
-    if peak <= _FLOOR_FACTOR * energy / math.sqrt(n_pad):
+    la, peak, lg = _scale_back("peak amplitude", mag[j - 1 : j + 2], e).tolist()
+    if mag[j] <= _FLOOR_FACTOR * energy / math.sqrt(n_pad):
         raise NoCollectivePeakError(
             f"band maximum {peak!r} does not clear the noise floor at omega = {j * d_omega!r}"
         )
 
-    la, lb, lg = mag[j - 1], mag[j], mag[j + 1]
     shift = 0.0
     if la > 0.0 and lg > 0.0:
-        la, lb, lg = math.log(la), math.log(lb), math.log(lg)
+        la, lb, lg = math.log(la), math.log(peak), math.log(lg)
         denom = la - 2.0 * lb + lg
         if denom < 0.0:
             shift = 0.5 * (la - lg) / denom
             if not -0.75 <= shift <= 0.75:  # interpolation left its trust region
                 shift = 0.0
-    return SpectralPeak(
-        frequency=(j + shift) * d_omega,
-        amplitude=peak,
-        bin_width=2.0 * math.pi / (n * dt),
-    )
+    return SpectralPeak(frequency=(j + shift) * d_omega, amplitude=peak,
+                        bin_width=2.0 * math.pi / (n * dt))

@@ -247,6 +247,23 @@ class TestSimulate:
         assert scaled["peak_amplitude"] == pytest.approx(
             amplitude * unit["peak_amplitude"], rel=1e-12, abs=0.0)
 
+    def test_amplitude_at_the_edges_of_the_float_range(self, tmp_path):
+        argv = ["simulate", "--Q0", "1", "--n-mu", "32", "--steps", "2048",
+                "--out", str(tmp_path / "t.csv")]
+        unit = json.loads(_main(argv)[1])
+        code, out, err = _main([*argv, "--amplitude", "1e306"])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["peak_frequency"] == unit["peak_frequency"]
+        # a trace of subnormal samples still carries the line
+        code, out, err = _main([*argv, "--amplitude", "5e-324"])
+        assert (code, err) == (0, "")
+        peak = json.loads(out)
+        assert abs(peak["peak_frequency"] - peak["analytic_S"]) <= peak["bin_width"]
+        # the peak amplitude of a 1e308 state lies above the float range
+        code, out, err = _main([*argv, "--amplitude", "1e308"])
+        assert (code, out) == (7, "")
+        assert json.loads(err)["error"] == "numerical-blowup"
+
     def test_single_step_rejected(self, tmp_path):
         assert main(["simulate", "--Q0", "1", "--steps", "1", "--out", str(tmp_path / "t.csv")]) == 2
 
@@ -267,8 +284,7 @@ class TestSimulate:
         with warnings.catch_warnings():
             # a floating-point warning from the overflow would reach stderr
             warnings.simplefilter("error")
-            code = main(["simulate", "--Q0", "1", "--amplitude", "1e308", "--steps", "64",
-                         "--out", str(out)])
+            code = main(["simulate", "--Q0", "1e120", "--steps", "64", "--out", str(out)])
         captured = capsys.readouterr()
         assert code == 7
         assert captured.out == ""

@@ -27,7 +27,7 @@ from zerosound import (
     spectral_peak,
     stability_bound,
 )
-from zerosound.kinetic import _block_size, _rk4_trace
+from zerosound.kinetic import _block_size
 
 
 def _reference_rule(n, digits=40):
@@ -312,22 +312,34 @@ class TestEvolve:
     def test_overflow_is_reported_as_blowup(self):
         g = build_angular_grid(8)
         state = AngularState(np.full(8, 1e308, dtype=np.complex128))
-        # two steps stay in range: the trace is 1e308 times the unit state's
         unit = AngularState(np.ones(8, dtype=np.complex128))
         out = evolve_initial_value(1.0, g, state, 0.05, 2).samples
         ref = evolve_initial_value(1.0, g, unit, 0.05, 2).samples
         assert float(np.max(np.abs(out / 1e308 - ref))) <= 1e-15
-        with pytest.raises(NumericalBlowupError):
+        # the run is at unit scale, so a long one stays 1e308 times the unit trace
+        out = evolve_initial_value(1.0, g, state, 0.05, 4096).samples
+        ref = evolve_initial_value(1.0, g, unit, 0.05, 4096).samples
+        assert float(np.max(np.abs(out / 1e308 - ref))) <= 1e-14
+        # finite parts, but a trace whose modulus leaves the float range
+        state = AngularState(np.full(8, 1.5e308 + 1.5e308j))
+        with pytest.raises(NumericalBlowupError, match="trace modulus .* exceeds the float range"):
             evolve_initial_value(1.0, g, state, 0.05, 4096)
+        # above A ~ 1e115 the powers of L overflow in the step's factors
+        g = build_angular_grid(32)
+        unit = AngularState(np.ones(32, dtype=np.complex128))
+        with pytest.raises(NumericalBlowupError, match="factors are not finite"):
+            evolve_initial_value(1e120, g, unit, stability_bound(1e120), 64)
 
-    def test_overflowing_trace_stops_early(self):
-        g = build_angular_grid(8)
-        y0 = np.full(8, 1e308, dtype=np.complex128)
-        with np.errstate(over="ignore", invalid="ignore"):
-            trace = _rk4_trace(y0, g.nodes, 0.5 * g.weights, 1.0, 0.05, 4096)
-        # the documented bound: the run ends within 256 steps of overflowing
-        assert trace.shape[0] <= 257
-        assert not np.isfinite(trace[-1])
+    @pytest.mark.parametrize("k", [-1060, -1000, -600, -1, 600, 1000])
+    def test_power_of_two_scales_the_trace_exactly(self, k):
+        # at k = -1060 the state is subnormal, and its trace is still the
+        # unit trace rounded once
+        g = build_angular_grid(32)
+        ones = np.ones(32, dtype=np.complex128)
+        ref = evolve_initial_value(1.0, g, AngularState(ones), 0.05, 2048).samples
+        out = evolve_initial_value(1.0, g, AngularState(2.0**k * ones), 0.05, 2048).samples
+        expected = np.ldexp(ref.view(np.float64), k).view(np.complex128)
+        assert out.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("n", [33, 128, 400])  # 33: the odd grid's mu = 0 node
     @pytest.mark.parametrize("a", [0.05, 1.0, 100.0])
@@ -473,10 +485,30 @@ class TestSpectralPeak:
         assert "np.float64" not in str(exc.value)
 
     def test_overflowing_spectrum_is_a_blowup(self):
-        # every sample is finite, but the transform sums past the float range
+        # the transform runs at unit scale, so a 1e306 tone keeps its line
         tone = _tone(1.5, 4096, 0.05)
-        with pytest.raises(NumericalBlowupError, match="initial amplitude"):
-            spectral_peak(TimeSeries(dt=tone.dt, samples=1e306 * tone.samples))
+        scaled = spectral_peak(TimeSeries(dt=tone.dt, samples=1e306 * tone.samples))
+        assert scaled.frequency == pytest.approx(spectral_peak(tone).frequency, rel=0.0, abs=1e-12)
+        # a 1e308 tone is finite, but its peak amplitude is not
+        with pytest.raises(NumericalBlowupError, match="peak amplitude .* initial amplitude"):
+            spectral_peak(TimeSeries(dt=tone.dt, samples=1e308 * tone.samples))
+
+    def test_power_of_two_leaves_the_frequency_unchanged(self):
+        tone = _tone(1.5, 4096, 0.05)
+        small = spectral_peak(TimeSeries(dt=tone.dt, samples=2.0**-500 * tone.samples))
+        large = spectral_peak(TimeSeries(dt=tone.dt, samples=2.0**500 * tone.samples))
+        assert small.frequency == large.frequency
+        assert large.amplitude == 2.0**1000 * small.amplitude
+
+    def test_series_validation(self):
+        samples = _tone(1.5, 4096, 0.05).samples
+        for dt in (0.0, -0.05, math.inf, math.nan):
+            with pytest.raises(InvalidArgumentError, match="dt must be"):
+                TimeSeries(dt=dt, samples=samples)
+        with pytest.raises(InvalidArgumentError, match="one-dimensional"):
+            TimeSeries(dt=0.05, samples=np.ones((16, 16)))
+        with pytest.raises(InvalidArgumentError, match="samples must be finite"):
+            TimeSeries(dt=0.05, samples=np.where(np.arange(4096) == 7, math.nan, samples))
 
     def test_validation(self):
         with pytest.raises(InvalidArgumentError):
