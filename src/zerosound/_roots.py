@@ -17,7 +17,9 @@ _STEP_UP = 1.0
 # at large |x| a fixed step is absorbed by rounding; grow it with |x|
 _RELATIVE_STEP = 2.0**-20
 _MAX_EXPANSIONS = 60
+# stop once the bracket's half-width is below 0.5 * (_WIDTH + _RELATIVE_WIDTH |x|)
 _WIDTH = 1e-15
+_RELATIVE_WIDTH = 4.0 * sys.float_info.epsilon
 
 
 def _push(x, step):
@@ -30,12 +32,14 @@ def increasing_root(f, lo, hi, max_iterations, what):
     """Root of an increasing function f from the starting bracket [lo, hi].
 
     The ends are pushed outward until f(lo) < 0 < f(hi), at most 60 times
-    each; the bracket is then bisected to width 1e-15 (or until it no
-    longer splits in floating point, or max_iterations runs out) and one
-    secant step is taken across it.  Returns (x, f(x), (lo, hi)) for
-    whichever of the two ends and the secant point has the smallest
-    |f|; the caller judges whether that is good enough.  Raises
-    ConvergenceError, naming `what`, if no sign change is found.
+    each.  Brent's method (Brent 1973, ch. 4) then narrows the bracket by
+    inverse quadratic or secant steps, bisecting whenever a step would not
+    shrink it fast enough, until its half-width is below
+    0.5 * (1e-15 + 4 eps |x|), f(x) is 0, or max_iterations evaluations of
+    f are spent.  Returns (x, f(x), (lo, hi)), where x is the end of the
+    final bracket with the smaller |f|; the caller judges whether that is
+    good enough.  Raises ConvergenceError, naming `what`, if no sign
+    change is found.
     """
     r_lo = f(lo)
     r_hi = f(hi)
@@ -54,23 +58,39 @@ def increasing_root(f, lo, hi, max_iterations, what):
         if guard > _MAX_EXPANSIONS:
             raise ConvergenceError(f"no sign change above {hi!r} in {what}", (lo, hi))
 
-    for _ in range(max_iterations):
-        if hi - lo <= _WIDTH:
+    # cur is the best estimate, blk the other end of the bracket, pre the
+    # previous cur; s_cur and s_pre are the last two steps taken
+    x_pre, r_pre, x_cur, r_cur = lo, r_lo, hi, r_hi
+    evaluations = 0
+    while True:
+        if (r_pre < 0.0) != (r_cur < 0.0):
+            x_blk, r_blk = x_pre, r_pre
+            s_pre = s_cur = x_cur - x_pre
+        if abs(r_blk) < abs(r_cur):
+            x_pre, r_pre = x_cur, r_cur
+            x_cur, r_cur, x_blk, r_blk = x_blk, r_blk, x_cur, r_cur
+        tol = 0.5 * (_WIDTH + _RELATIVE_WIDTH * abs(x_cur))
+        s_bis = 0.5 * x_blk - 0.5 * x_cur  # halved first, so it cannot overflow
+        if r_cur == 0.0 or abs(s_bis) <= tol or evaluations == max_iterations:
             break
-        mid = 0.5 * (lo + hi)
-        if not (lo < mid < hi):
-            break  # interval no longer splittable in floating point
-        r_mid = f(mid)
-        if r_mid < 0.0:
-            lo, r_lo = mid, r_mid
+        s_try = math.nan  # bisect unless an interpolation step qualifies
+        if abs(s_pre) > tol and abs(r_cur) < abs(r_pre):
+            if x_pre == x_blk:  # secant
+                s_try = -r_cur * (x_cur - x_pre) / (r_cur - r_pre)
+            else:  # inverse quadratic through pre, cur and blk
+                d_pre = (r_pre - r_cur) / (x_pre - x_cur)
+                d_blk = (r_blk - r_cur) / (x_blk - x_cur)
+                denominator = d_blk * d_pre * (r_blk - r_pre)
+                if denominator:  # 0 where f is flat to rounding
+                    s_try = -r_cur * (r_blk * d_blk - r_pre * d_pre) / denominator
+        # an interpolation step must point into the bracket and be under half
+        # the step before last; a nan or inf s_try fails these tests
+        if 0.0 < s_try / s_bis and 2.0 * abs(s_try) < min(abs(s_pre), 3.0 * abs(s_bis) - tol):
+            s_pre, s_cur = s_cur, s_try
         else:
-            hi, r_hi = mid, r_mid
-
-    candidates = [(abs(r_lo), lo, r_lo), (abs(r_hi), hi, r_hi)]
-    if r_hi != r_lo:
-        x_sec = lo - r_lo * (hi - lo) / (r_hi - r_lo)
-        if math.isfinite(x_sec):
-            r_sec = f(x_sec)
-            candidates.append((abs(r_sec), x_sec, r_sec))
-    _, x_best, r_best = min(candidates)
-    return x_best, r_best, (lo, hi)
+            s_pre = s_cur = s_bis
+        x_pre, r_pre = x_cur, r_cur
+        x_cur += s_cur if abs(s_cur) > tol else math.copysign(tol, s_bis)
+        r_cur = f(x_cur)
+        evaluations += 1
+    return x_cur, r_cur, (min(x_cur, x_blk), max(x_cur, x_blk))

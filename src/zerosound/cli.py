@@ -93,7 +93,7 @@ def build_parser():
     solver_flags.add_argument("--tol", type=float, default=SolverConfig.tolerance,
                               help="accepted |residual| of the exact root (default %(default)s)")
     solver_flags.add_argument("--max-iter", type=int, default=SolverConfig.max_iterations,
-                              help="bisection iteration budget (default %(default)s)")
+                              help="root-finder evaluation budget (default %(default)s)")
     solver_flags.add_argument("--switch-a", type=float, default=SolverConfig.asymptotic_switch_A,
                               help="coupling below which the closed weak-coupling form is used "
                                    "(default %(default)s)")

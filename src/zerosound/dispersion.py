@@ -168,13 +168,14 @@ def asymptotic_zero_sound(coupling):
 def solve_zero_sound(coupling, config=None):
     """Root of 1 = A F(S) above the continuum, to |residual| <= tolerance.
 
-    Bisection on v = ln(S - 1) from an analytic starting bracket, narrowed
-    to width 1e-15 and polished with one secant step.  Below
+    Brent's method on v = ln(S - 1) from an analytic starting bracket,
+    narrowed to half-width 0.5 * (1e-15 + 4 eps |v|); about 11 residual
+    evaluations per root for A in [0.06, 1e3].  Below
     config.asymptotic_switch_A the closed-form branch is returned directly.
     Raises NoUndampedRootError for A <= 0, InvalidArgumentError below the
     smallest supported coupling (see asymptotic_zero_sound) and
-    ConvergenceError if the residual target is missed within the
-    iteration budget.
+    ConvergenceError if the residual target is missed within
+    config.max_iterations residual evaluations.
     """
     c = _positive_coupling(coupling)
     cfg = config if config is not None else SolverConfig()

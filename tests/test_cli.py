@@ -90,6 +90,16 @@ class TestSolve:
             assert err["error"] == "invalid-argument"
             assert "smallest supported coupling" in err["message"]
 
+    def test_residual_flat_to_rounding_near_the_smallest_coupling(self):
+        # the exact path at A = 2.2e-308 needs the root-finder's bisection
+        # fallback where its interpolation denominator underflows to 0
+        for tol in ("1.0", "1e-12"):
+            code, out, err = _main(["solve", "--Q0", "2.2e-308", "--tol", tol, "--switch-a", "0"])
+            assert (code, err) == (0, "")
+            data = json.loads(out)
+            assert data["method"] == "exact"
+            assert abs(data["residual"]) <= float(tol)
+
     def test_control_characters_in_a_path_are_escaped(self, tmp_path):
         path = str(tmp_path / "x\ny")
         with pytest.raises(OSError) as exc:

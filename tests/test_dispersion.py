@@ -2,10 +2,15 @@
 
 Reference values were computed independently with 50-digit arithmetic:
 the kernel from its closed form, the roots by bisection on ln(S - 1) of
-the dispersion relation.  They are frozen here as literals.
+the dispersion relation.  They are frozen here as literals.  The solver
+under test uses Brent's method from the shared root-finder in _roots;
+that root-finder is also checked on its own, on residuals that defeat
+its interpolation steps, and its residual count per exact root is
+bounded so that a slower search shows as a failure.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -31,6 +36,8 @@ from zerosound import (
     landau_kernel,
     solve_zero_sound,
 )
+from zerosound import dispersion
+from zerosound._roots import increasing_root
 
 # F(S) at fixed abscissae, 50-digit evaluation rounded to double
 KERNEL_REFERENCE = {
@@ -180,6 +187,29 @@ class TestSolveZeroSound:
             solve_zero_sound(1.0, SolverConfig(max_iterations=1))
         assert info.value.bracket is not None
 
+    def test_residual_evaluations_per_exact_root(self, monkeypatch):
+        # Brent's method needs about 11 residuals per root here; bisection
+        # to a one-ulp bracket needed 56
+        calls = []
+        residual = dispersion._residual_log
+        monkeypatch.setattr(dispersion, "_residual_log", lambda v, a: calls.append(v) or residual(v, a))
+        for a in np.logspace(math.log10(0.06), 3.0, 200):
+            calls.clear()
+            point = solve_zero_sound(float(a))
+            assert point.method is Method.EXACT
+            assert len(calls) <= 25, (a, len(calls))
+
+    def test_residual_flat_to_rounding_near_the_smallest_coupling(self):
+        # at A = 2.2e-308 the root is ln(S - 1) ~ -9.1e307, where the slopes
+        # between bracket ends underflow: the inverse quadratic step has a
+        # zero denominator and the search must bisect instead
+        for tolerance in (1.0, 1e-12):
+            cfg = SolverConfig(tolerance=tolerance, asymptotic_switch_A=0.0)
+            point = solve_zero_sound(2.2e-308, cfg)
+            assert point.method is Method.EXACT
+            assert abs(point.residual) <= tolerance
+            assert point.log_excess == pytest.approx(math.log(2.0) - 2.0 - 2.0 / 2.2e-308, rel=1e-12)
+
     @given(
         e1=st.floats(min_value=-3.0, max_value=3.0),
         e2=st.floats(min_value=-3.0, max_value=3.0),
@@ -231,6 +261,44 @@ class TestSolveZeroSound:
         v, excess = point.log_excess, point.S_minus_1
         slack = 1e-12 * max(1.0, abs(v)) * excess + 2.0 * math.ulp(excess)
         assert excess >= 0.0 and abs(math.exp(v) - excess) <= slack
+
+
+class TestIncreasingRoot:
+    @staticmethod
+    def _stop_width(lo, hi):
+        # the stop rule's full width, at the larger end
+        return 1e-15 + 4.0 * sys.float_info.epsilon * max(abs(lo), abs(hi))
+
+    def test_step_function(self):
+        # no interpolation step helps; the search ends by bisection
+        for lo, hi in ((-1.0, 1.0), (-3.0, 7.0), (-1e-300, 5.0)):
+            x, r, (b_lo, b_hi) = increasing_root(lambda x: 1.0 if x > 0.0 else -1.0, lo, hi, 200, "step")
+            assert b_lo <= 0.0 < b_hi
+            assert b_hi - b_lo <= self._stop_width(b_lo, b_hi)
+            assert x in (b_lo, b_hi) and r == (1.0 if x > 0.0 else -1.0)
+
+    def test_underflowing_slopes_bisect(self):
+        # slopes of 1e-200 square to 0 in the inverse quadratic denominator
+        f = lambda x: 1e-200 * (x + x**3)
+        x, r, (b_lo, b_hi) = increasing_root(f, -1.0, 2.0, 200, "scaled cubic")
+        assert f(b_lo) <= 0.0 <= f(b_hi)
+        assert b_hi - b_lo <= self._stop_width(b_lo, b_hi)
+        assert abs(x) <= 1e-15 and r == f(x)
+
+    def test_returns_the_end_with_the_smaller_residual(self):
+        f = lambda x: math.exp(x) - 2.0
+        x, r, (b_lo, b_hi) = increasing_root(f, 0.0, 0.1, 200, "exp")  # expands upward first
+        assert x == pytest.approx(math.log(2.0), rel=2e-15, abs=0.0)
+        assert x in (b_lo, b_hi) and r == f(x)
+        assert abs(r) <= min(abs(f(b_lo)), abs(f(b_hi)))
+
+    def test_budget_counts_evaluations_after_bracketing(self):
+        calls = []
+        f = lambda x: calls.append(x) or math.atan(x - 0.3)
+        for budget in (1, 2, 5):
+            calls.clear()
+            increasing_root(f, -1.0, 1.0, budget, "atan")
+            assert len(calls) == 2 + budget
 
 
 class TestAsymptoticZeroSound:
