@@ -330,8 +330,27 @@ _HANDLERS = {
 }
 
 
+def _join_negative_values(argv):
+    # argparse takes a word such as -1e-5 or -inf for an option, so a value
+    # that parses as a float is joined onto its flag: --Q0=-1e-5
+    words = []
+    for word in argv:
+        flag = words[-1] if words else ""
+        if word.startswith("-") and flag.startswith("--") and flag != "--" and "=" not in flag:
+            try:
+                float(word)
+            except ValueError:
+                pass
+            else:
+                words[-1] += "=" + word
+                continue
+        words.append(word)
+    return words
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_join_negative_values(argv))
     try:
         return _HANDLERS[args.command](args)
     except ZeroSoundError as exc:

@@ -291,15 +291,25 @@ class TestSimulate:
 
     def test_blowup_is_one_json_line(self, tmp_path, capsys):
         out = tmp_path / "t.csv"
+        argv = ["simulate", "--steps", "64", "--out", str(out)]
         with warnings.catch_warnings():
             # a floating-point warning from the overflow would reach stderr
             warnings.simplefilter("error")
-            code = main(["simulate", "--Q0", "1e120", "--steps", "64", "--out", str(out)])
-        captured = capsys.readouterr()
-        assert code == 7
+            code = main([*argv, "--Q0", "1", "--amplitude=-1.7976931348623157e308"])
+            captured = capsys.readouterr()
+            assert code == 7
+            assert captured.out == ""
+            assert captured.err.count("\n") == 1
+            err = json.loads(captured.err)
+            assert err["error"] == "numerical-blowup"
+            assert "trace modulus" in err["message"]
+            assert not out.exists()
+            # the step's factors stay finite at strong coupling, where this
+            # short record has no line above the band
+            assert main([*argv, "--Q0", "1e120"]) == 5
+            captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.count("\n") == 1
-        assert json.loads(captured.err)["error"] == "numerical-blowup"
+        assert json.loads(captured.err)["error"] == "no-collective-peak"
         assert not out.exists()
 
 
@@ -369,6 +379,9 @@ BASE_ARGV = {
 RANGE_ERRORS = [
     ("solve", "--Q0", "nan", "Q0"),
     ("solve", "--Q0", "-1", "Q0"),
+    # negative values that argparse alone would take for an option
+    ("solve", "--Q0", "-1e-5", "Q0"),
+    ("solve", "--Q0", "-inf", "Q0"),
     ("solve", "--k-lambda", "inf", "k_lambda_d"),
     ("solve", "--tol", "inf", "tolerance"),
     ("solve", "--max-iter", "0", "max_iterations"),
@@ -376,6 +389,7 @@ RANGE_ERRORS = [
     ("scan", "--Q0", "1e400", "Q0"),
     ("scan", "--k-min", "nan", "k_min"),
     ("scan", "--k-max", "inf", "k_max"),
+    ("scan", "--k-min", "-1e-3", "k_min"),
     ("scan", "--points", "0", "count"),
     ("scan", "--points", str(2**62), "MAX_SCAN_POINTS"),
     ("scan", "--tol", "nan", "tolerance"),
@@ -387,6 +401,7 @@ RANGE_ERRORS = [
     ("simulate", "--steps", "0", "steps"),
     ("simulate", "--steps", str(2**62), "MAX_STEPS"),
     ("simulate", "--dt", "nan", "dt"),
+    ("simulate", "--dt", "-1e-3", "dt"),
     ("simulate", "--amplitude", "inf", "state values"),
     ("simulate", "--switch-a", "nan", "asymptotic_switch_A"),
     ("compare", "--Q0", "nan", "Q0"),
@@ -475,7 +490,7 @@ FLOAT_TEXT = st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(q0=FLOAT_TEXT, k=FLOAT_TEXT, tol=FLOAT_TEXT, switch=FLOAT_TEXT)
 def test_solve_ends_in_a_result_or_a_labeled_error(q0, k, tol, switch):
-    # the "--flag=value" form, since argparse takes "-1e-05" for an option
+    # the "--flag=value" form; main also joins "--flag -1e-05" into it
     argv = ["solve", f"--Q0={q0}", f"--k-lambda={k}", f"--tol={tol}", f"--switch-a={switch}"]
     code, out, err = _main(argv)
     if code == 0:
@@ -512,15 +527,22 @@ AMPLITUDE_TEXT = st.one_of(
               st.sampled_from((1.0, -1.0)), st.floats(-323.3, 308.25)),
     st.floats(min_value=5e-324, max_value=sys.float_info.max).map(repr),
 )
+# Q0 = 1, where DT_TEXT is aimed, or over the whole positive float range
+Q0_TEXT = st.one_of(
+    st.just("1"),
+    st.floats(-323.3, 308.25).map(lambda e: repr(10.0**e)),
+    st.floats(min_value=5e-324, max_value=sys.float_info.max).map(repr),
+)
 # the summary fields that hold text; every other one is a finite number
 SUMMARY_TEXT_FIELDS = {"window", "analytic_method"}
 
 
 @settings(max_examples=100, deadline=None)
-@given(n_mu=st.integers(4, 64), steps=st.one_of(st.integers(2, 4096), st.integers(1024, 4096)),
+@given(q0=Q0_TEXT, n_mu=st.integers(4, 64),
+       steps=st.one_of(st.integers(2, 4096), st.integers(1024, 4096)),
        dt=DT_TEXT, amplitude=AMPLITUDE_TEXT)
-def test_kinetic_commands_end_in_a_result_or_a_labeled_error(n_mu, steps, dt, amplitude):
-    knobs = ["--Q0=1", f"--n-mu={n_mu}", f"--steps={steps}", *([f"--dt={dt}"] if dt else [])]
+def test_kinetic_commands_end_in_a_result_or_a_labeled_error(q0, n_mu, steps, dt, amplitude):
+    knobs = [f"--Q0={q0}", f"--n-mu={n_mu}", f"--steps={steps}", *([f"--dt={dt}"] if dt else [])]
     with tempfile.TemporaryDirectory() as tmp:
         trace = Path(tmp) / "t.csv"
         code, out, err = _main(["simulate", *knobs, f"--amplitude={amplitude}", f"--out={trace}"])

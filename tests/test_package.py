@@ -63,6 +63,16 @@ def test_no_module_imports_numpy_when_loaded():
         assert "numpy" not in imported, path.name
 
 
+def test_no_floating_point_warning_is_suppressed():
+    # every warning is an error under pytest, so a suppressed overflow or
+    # invalid operation would hide a result outside the float range
+    for path in sorted(Path(zerosound.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            # a name, an attribute (np.errstate) or an imported name
+            names = {getattr(node, field, None) for field in ("id", "attr", "name")}
+            assert "errstate" not in names, path.name
+
+
 def test_time_domain_oracle_stays_independent():
     # no eigenvalues anywhere in kinetic, and nothing the evolution reaches
     # touches the secular function or its root
