@@ -17,6 +17,7 @@ _STEP_UP = 1.0
 # at large |x| a fixed step is absorbed by rounding; grow it with |x|
 _RELATIVE_STEP = 2.0**-20
 _MAX_EXPANSIONS = 60
+_MAX_EVALUATIONS = 200  # after bracketing; an exact root takes about 11
 # stop once the bracket's half-width is below 0.5 * (_WIDTH + _RELATIVE_WIDTH |x|)
 _WIDTH = 1e-15
 _RELATIVE_WIDTH = 4.0 * sys.float_info.epsilon
@@ -28,15 +29,15 @@ def _push(x, step):
     return min(max(x, -sys.float_info.max), sys.float_info.max)
 
 
-def increasing_root(f, lo, hi, max_iterations, what):
+def increasing_root(f, lo, hi, what):
     """Root of an increasing function f from the starting bracket [lo, hi].
 
     The ends are pushed outward until f(lo) < 0 < f(hi), at most 60 times
     each.  Brent's method (Brent 1973, ch. 4) then narrows the bracket by
     inverse quadratic or secant steps, bisecting whenever a step would not
     shrink it fast enough, until its half-width is below
-    0.5 * (1e-15 + 4 eps |x|), f(x) is 0, or max_iterations evaluations of
-    f are spent.  Returns (x, f(x), (lo, hi)), where x is the end of the
+    0.5 * (1e-15 + 4 eps |x|), f(x) is 0, or 200 evaluations of f are
+    spent.  Returns (x, f(x), (lo, hi)), where x is the end of the
     final bracket with the smaller |f|; the caller judges whether that is
     good enough.  Raises ConvergenceError, naming `what`, if no sign
     change is found.
@@ -71,7 +72,7 @@ def increasing_root(f, lo, hi, max_iterations, what):
             x_cur, r_cur, x_blk, r_blk = x_blk, r_blk, x_cur, r_cur
         tol = 0.5 * (_WIDTH + _RELATIVE_WIDTH * abs(x_cur))
         s_bis = 0.5 * x_blk - 0.5 * x_cur  # halved first, so it cannot overflow
-        if r_cur == 0.0 or abs(s_bis) <= tol or evaluations == max_iterations:
+        if r_cur == 0.0 or abs(s_bis) <= tol or evaluations == _MAX_EVALUATIONS:
             break
         s_try = math.nan  # bisect unless an interpolation step qualifies
         if abs(s_pre) > tol and abs(r_cur) < abs(r_pre):

@@ -92,11 +92,6 @@ def build_parser():
     solver_flags = argparse.ArgumentParser(add_help=False)
     solver_flags.add_argument("--tol", type=float, default=SolverConfig.tolerance,
                               help="accepted |residual| of the exact root (default %(default)s)")
-    solver_flags.add_argument("--max-iter", type=int, default=SolverConfig.max_iterations,
-                              help="root-finder evaluation budget (default %(default)s)")
-    solver_flags.add_argument("--switch-a", type=float, default=SolverConfig.asymptotic_switch_A,
-                              help="coupling below which the closed weak-coupling form is used "
-                                   "(default %(default)s)")
     # simulate has no physical-unit output, so it takes no parameter file
     params_flag = argparse.ArgumentParser(add_help=False)
     params_flag.add_argument("--params-file", default=None, metavar="PATH",
@@ -132,7 +127,6 @@ def build_parser():
     p_sim.add_argument("--dt", type=float, default=None,
                        help="time step (default: the stability bound 0.1/(1+A))")
     p_sim.add_argument("--steps", type=int, default=16384)
-    p_sim.add_argument("--window", choices=("hann", "none"), default="hann")
     p_sim.add_argument("--amplitude", type=float, default=1.0,
                        help="initial isotropic amplitude")
     p_sim.add_argument("--out", required=True, metavar="PATH", help="time-series CSV path")
@@ -144,20 +138,11 @@ def build_parser():
     p_cmp.add_argument("--n-mu", type=int, default=400)
     p_cmp.add_argument("--dt", type=float, default=None)
     p_cmp.add_argument("--steps", type=int, default=16384)
-    p_cmp.add_argument("--window", choices=("hann", "none"), default="hann")
     p_cmp.add_argument("--mass-convention", choices=("effective", "bare"), default="effective")
     p_cmp.add_argument("--out", default=None, metavar="PATH")
     p_cmp.add_argument("--format", choices=("csv", "json"), default="csv")
 
     return parser
-
-
-def _solver_config(args):
-    return SolverConfig(
-        tolerance=args.tol,
-        max_iterations=args.max_iter,
-        asymptotic_switch_A=args.switch_a,
-    )
 
 
 def _load_params(args):
@@ -169,7 +154,7 @@ def _load_params(args):
 def run_solve(args):
     point = solve_zero_sound(
         coupling_strength(InteractionModel(args.Q0), args.k_lambda),
-        _solver_config(args),
+        SolverConfig(args.tol),
     )
     params = _load_params(args)
     if params is not None:
@@ -213,7 +198,7 @@ def run_scan(args):
         spacing="log" if args.log else "linear",
     )
     model = InteractionModel(args.Q0)
-    scan = branch_scan(model, grid, _solver_config(args), _load_params(args))
+    scan = branch_scan(model, grid, SolverConfig(args.tol), _load_params(args))
     text = _csv(_SCAN_HEADER, _scan_rows(scan, model)) if args.format == "csv" else _scan_json(scan)
     _write_text(args.out, text)
     return 0
@@ -223,12 +208,12 @@ def _time_domain(coupling, grid, args, amplitude):
     dt = args.dt if args.dt is not None else stability_bound(coupling)
     state = AngularState([amplitude] * grid.size)
     series = evolve_initial_value(coupling, grid, state, dt, args.steps)
-    return series, spectral_peak(series, window=args.window)
+    return series, spectral_peak(series)
 
 
 def run_simulate(args):
     coupling = coupling_strength(InteractionModel(args.Q0), args.k_lambda)
-    config = _solver_config(args)  # a bad solver knob fails before the evolution
+    config = SolverConfig(args.tol)  # a bad --tol fails before the evolution
     series, peak = _time_domain(coupling, build_angular_grid(args.n_mu), args, args.amplitude)
     reference = solve_zero_sound(coupling, config)
 
@@ -245,7 +230,7 @@ def run_simulate(args):
         "n_mu": args.n_mu,
         "dt": series.dt,
         "steps": args.steps,
-        "window": args.window,
+        "window": "hann",
         "peak_frequency": peak.frequency,
         "peak_amplitude": peak.amplitude,
         "bin_width": peak.bin_width,
@@ -266,7 +251,7 @@ def _oracle_cells(s):
 
 def _compare_rows(args):
     coupling = coupling_strength(InteractionModel(args.Q0), args.k_lambda)
-    config = _solver_config(args)
+    config = SolverConfig(args.tol)
     params = _load_params(args)
     # both discrete oracles share one grid; cache keeps no exception, so a
     # rejected --n-mu fails each of their rows

@@ -30,7 +30,6 @@ from .model import (
     Method,
     _require_count,
     _require_finite,
-    _require_non_negative,
     _require_positive,
     as_coupling,
     coupling_strength,
@@ -54,27 +53,19 @@ _LN2 = math.log(2.0)
 _MIN_COUPLING = math.nextafter(2.0 / sys.float_info.max, 1.0)
 # largest GridSpec.count: a scan solves and prints one row per point
 MAX_SCAN_POINTS = 2**20
+# below this coupling the weak-coupling closed form is tried first: its
+# residual there is at most 8.9e-16, and it stays evaluable when S - 1 underflows
+_CLOSED_FORM_BELOW = 0.06
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tunable knobs of the exact solver.
-
-    tolerance bounds the accepted |residual| of the returned root.
-    asymptotic_switch_A is the coupling below which the closed-form
-    weak-coupling branch is returned instead of iterating; at the default
-    0.06 the two agree to about 3e-14 in S - 1, far inside the residual
-    tolerance, and the closed form stays evaluable when S - 1 underflows.
-    """
+    """Accuracy contract of the solver: every returned point has |residual| <= tolerance."""
 
     tolerance: float = 1e-12
-    max_iterations: int = 200
-    asymptotic_switch_A: float = 0.06
 
     def __post_init__(self):
         _require_positive("tolerance", self.tolerance)
-        _require_count("max_iterations", self.max_iterations, 1)
-        _require_non_negative("asymptotic_switch_A", self.asymptotic_switch_A)
 
 
 def _kernel_series(S):
@@ -166,33 +157,39 @@ def asymptotic_zero_sound(coupling):
 
 
 def solve_zero_sound(coupling, config=None):
-    """Root of 1 = A F(S) above the continuum, to |residual| <= tolerance.
+    """Root of 1 = A F(S) above the continuum, to |residual| <= config.tolerance.
 
-    Brent's method on v = ln(S - 1) from an analytic starting bracket,
-    narrowed to half-width 0.5 * (1e-15 + 4 eps |v|); about 11 residual
-    evaluations per root for A in [0.06, 1e3].  Below
-    config.asymptotic_switch_A the closed-form branch is returned directly.
-    Raises NoUndampedRootError for A <= 0, InvalidArgumentError below the
-    smallest supported coupling (see asymptotic_zero_sound) and
-    ConvergenceError if the residual target is missed within
-    config.max_iterations residual evaluations.
+    Below A = 0.06 the closed form asymptotic_zero_sound is returned if its
+    residual meets the tolerance (at the default 1e-12 it always does);
+    otherwise Brent's method runs on v = ln(S - 1).  Raises
+    NoUndampedRootError for A <= 0, InvalidArgumentError below the smallest
+    supported coupling and ConvergenceError if no point meets the tolerance.
     """
     c = _positive_coupling(coupling)
-    cfg = config if config is not None else SolverConfig()
-    if c.A < cfg.asymptotic_switch_A:
-        return asymptotic_zero_sound(c)
+    tolerance = (config if config is not None else SolverConfig()).tolerance
+    if c.A < _CLOSED_FORM_BELOW:
+        point = asymptotic_zero_sound(c)
+        if abs(point.residual) <= tolerance:
+            return point
+    return _exact_zero_sound(c, tolerance)
 
+
+def _exact_zero_sound(coupling, tolerance=SolverConfig.tolerance):
+    # Brent's method on v = ln(S - 1) to half-width 0.5 (1e-15 + 4 eps |v|),
+    # about 11 residuals per root for A in [0.06, 1e3]; the bracket steps
+    # grow with |v|, so it solves every supported coupling
+    c = _positive_coupling(coupling)
     a = c.A
     # lower end: one unit below the weak-coupling estimate of v
     v_lo = (_LN2 - 2.0 - 2.0 / a) - 1.0
     # upper end: past the strong-coupling estimate S ~ 2 sqrt(A/3)
     v_hi = math.log(max(10.0, 2.0 * math.sqrt(a / 3.0) + 2.0) - 1.0)
     v_best, r_best, bracket = increasing_root(
-        lambda v: _residual_log(v, a), v_lo, v_hi, cfg.max_iterations, f"ln(S - 1) at A = {a!r}"
+        lambda v: _residual_log(v, a), v_lo, v_hi, f"ln(S - 1) at A = {a!r}"
     )
-    if not abs(r_best) <= cfg.tolerance:
+    if not abs(r_best) <= tolerance:
         raise ConvergenceError(
-            f"residual {r_best!r} above tolerance {cfg.tolerance!r} for A = {a!r}",
+            f"residual {r_best!r} above tolerance {tolerance!r} for A = {a!r}",
             bracket,
         )
     u = math.exp(v_best)  # may underflow; S then rounds to the band edge
@@ -212,8 +209,8 @@ def high_frequency_branch(Q0, k_lambda_d, mass_convention="effective", params=No
     """Short-wavelength branch S^2 = Q0/3 + (k lambda_d)^2 (m*/m)^2 / 4.
 
     The mass factor is 1 in the 'effective' convention (lambda_d built
-    from the quasiparticle velocity) and (m*/m)^2 in the 'bare' one; the
-    latter needs a parameter set to know the ratio.  The returned point
+    from the quasiparticle velocity) and (m*/m)^2 in the 'bare' one, with
+    the ratio taken from params, or 1 when none is given.  The returned point
     may legitimately fall below the continuum edge (S <= 1) near the
     branch's validity boundary; it is flagged, not rejected.
     """

@@ -44,7 +44,7 @@ class NoUndampedRootError(ZeroSoundError):
 
 
 class ConvergenceError(ZeroSoundError):
-    """Root refinement exhausted its iteration budget.
+    """Root search found no sign change, or no point within the residual tolerance.
 
     ``bracket`` holds the best (lo, hi) enclosure reached, in the solver's
     working variable.

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 from ._roots import increasing_root
 from .errors import (
+    DomainError,
     InvalidArgumentError,
     NoCollectivePeakError,
     NoUndampedRootError,
@@ -63,10 +64,24 @@ MAX_STEPS = 2**24
 
 @dataclass(frozen=True)
 class AngularGrid:
-    """Gauss-Legendre nodes and weights on mu in [-1, 1]."""
+    """Quadrature nodes and weights on mu in [-1, 1]; checked, mirrored about 0, read-only."""
 
     nodes: np.ndarray
     weights: np.ndarray
+
+    def __post_init__(self):
+        nodes = _finite_vector("nodes", self.nodes, float)
+        weights = _finite_vector("weights", self.weights, float)
+        if not 0 < len(nodes) == len(weights):
+            raise InvalidArgumentError(f"need one weight per node, got {len(nodes)} and {len(weights)}")
+        if not ((nodes[1:] > nodes[:-1]).all() and nodes[-1] <= 1.0):
+            raise InvalidArgumentError("nodes must be strictly ascending within [-1, 1]")
+        if not ((nodes == -nodes[::-1]).all() and (weights == weights[::-1]).all()):
+            raise InvalidArgumentError("grid must be mirrored about mu = 0")
+        if not (weights > 0.0).all():
+            raise InvalidArgumentError("weights must be positive")
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "weights", weights)
 
     @property
     def size(self):
@@ -137,24 +152,21 @@ def build_angular_grid(size):
     recurrence in 1 - mu.  Against a 40-digit reference, for every size
     from 4 to 400 (and at sizes sampled up to 2000), the nodes lie within
     0.6 ulp for |mu| >= 1/2 and within 5 ulp closer to 0, and the weights
-    within 3e-16 absolute.  Nodes are exactly antisymmetric, weights
-    exactly symmetric, and an odd grid has the node 0.0.
+    within 3e-16 absolute.  An odd grid has the node 0.0.
     """
     size = _require_count("grid size", size, 4, "MAX_GRID_SIZE", MAX_GRID_SIZE)
-    nodes, weights = _gauss_legendre(size)
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return AngularGrid(nodes=nodes, weights=weights)
+    return AngularGrid(*_gauss_legendre(size))
 
 
 def secular_sum(S, grid):
     """Discrete kernel (1/2) sum_i w_i mu_i / (S - mu_i).
 
-    The grid is mirrored (as build_angular_grid builds it), so the pair
-    +-mu adds up to w mu^2 / (S^2 - mu^2), and the sum is taken as
+    The grid is mirrored (AngularGrid checks it), so the pair +-mu adds
+    up to w mu^2 / (S^2 - mu^2), and the sum is taken as
     sum_{mu > 0} [w mu / (S - mu)] [mu / (S + mu)]: every term is
     positive, nothing cancels at large S, nothing overflows, and S - mu
-    is still formed directly near the band edge.
+    is still formed directly near the band edge.  A non-finite S raises
+    InvalidArgumentError, and |S| <= mu_max DomainError.
 
     For S outside [-1, 1] it converges geometrically to the continuum
     kernel as the grid grows, down to a rounding floor of a few ulps of
@@ -163,6 +175,10 @@ def secular_sum(S, grid):
     no ordering in the grid size is promised.
     """
     import numpy as np
+    if not math.isfinite(S):
+        raise InvalidArgumentError(f"S must be finite, got {S!r}")
+    if abs(S) <= grid.nodes[-1]:
+        raise DomainError(f"secular sum defined for |S| > mu_max only, got {S!r}")
     half = grid.size // 2  # an odd grid's node 0 adds nothing
     mu = grid.nodes[half:]
     return float(np.sum(grid.weights[half:] * mu / (S - mu) * (mu / (S + mu))))
@@ -192,15 +208,18 @@ def discrete_collective_root(coupling, grid):
 
     w_lo = math.log(1e-12)
     w_hi = math.log(max(10.0, 2.0 * math.sqrt(a / 3.0) + 2.0) - mu_max)
-    w, _, _ = increasing_root(h, w_lo, w_hi, 200, f"ln(S - mu_max) at A = {a!r}")
+    w, _, _ = increasing_root(h, w_lo, w_hi, f"ln(S - mu_max) at A = {a!r}")
     return mu_max + math.exp(w)
 
 
-def _finite_vector(name, values):
+def _finite_vector(name, values, dtype=complex):
     import numpy as np
+    kind = np.asarray(values).dtype
+    if not np.can_cast(kind, dtype, "same_kind"):  # complex nodes, or text
+        raise InvalidArgumentError(f"{name} must be {dtype.__name__} numbers, got {kind}")
     # a C-contiguous copy: _unit_scale views it as floats, and the caller's
     # own array stays writeable when this one is made read-only
-    values = np.array(values, dtype=np.complex128, order="C")
+    values = np.array(values, dtype=dtype, order="C")
     if values.ndim != 1:
         raise InvalidArgumentError(f"{name} must be one-dimensional, got shape {values.shape}")
     if not np.all(np.isfinite(values)):
@@ -376,13 +395,13 @@ _PAD_FACTOR = 4
 _FLOOR_FACTOR = 4.0
 
 
-def spectral_peak(series, window="hann"):
+def spectral_peak(series):
     """Locate the collective line at omega > 1 in an evolved trace.
 
-    The signal rotates as exp(-i omega t), so the conjugate spectrum is
-    searched on the positive frequency axis between the continuum edge
-    and Nyquist.  The grid maximum is refined by quadratic interpolation
-    of log magnitude over three bins (on a 4x zero-padded transform), and
+    The signal rotates as exp(-i omega t), so the conjugate spectrum of the
+    Hann-windowed trace is searched between the continuum edge and Nyquist.
+    The grid maximum is refined by quadratic interpolation of log magnitude
+    over three bins (on a 4x zero-padded transform), and
     must both rise a factor 4 above the flat-spectrum level and sit
     strictly inside the search band; otherwise no collective peak is
     declared.  bin_width reports the resolution 2 pi / (dt n) of the
@@ -392,14 +411,12 @@ def spectral_peak(series, window="hann"):
     float range raises NumericalBlowupError.
     """
     import numpy as np
-    if window not in ("hann", "none"):
-        raise InvalidArgumentError(f"window must be 'hann' or 'none', got {window!r}")
     x = series.samples
     n = x.shape[0]
     if n < 64:
         raise InvalidArgumentError(f"need at least 64 samples, got {n}")
     dt = series.dt
-    xw, e = _unit_scale(x * np.hanning(n) if window == "hann" else x)
+    xw, e = _unit_scale(x * np.hanning(n))
 
     n_pad = _PAD_FACTOR * n
     # energy of a flat spectrum: every padded bin of pure noise sits near
@@ -428,13 +445,12 @@ def spectral_peak(series, window="hann"):
             f"band maximum {peak!r} does not clear the noise floor at omega = {j * d_omega!r}"
         )
 
+    # lb >= la, lg at the band maximum, so |la - lg| <= -denom and |shift| <= 1/2
     shift = 0.0
     if la > 0.0 and lg > 0.0:
         la, lb, lg = math.log(la), math.log(peak), math.log(lg)
         denom = la - 2.0 * lb + lg
         if denom < 0.0:
             shift = 0.5 * (la - lg) / denom
-            if not -0.75 <= shift <= 0.75:  # interpolation left its trust region
-                shift = 0.0
     return SpectralPeak(frequency=(j + shift) * d_omega, amplitude=peak,
                         bin_width=2.0 * math.pi / (n * dt))

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 from conftest import run_cli
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from zerosound import (
     DispersionPoint,
@@ -82,8 +82,8 @@ class TestSolve:
         assert json.loads(captured.err)["error"] == "invalid-argument"
 
     def test_coupling_below_smallest_supported_exit_code(self, capsys):
-        for switch in ("0.06", "0"):
-            assert main(["solve", "--Q0", "1e-309", "--switch-a", switch]) == 2
+        for tol in ("1e-12", "5e-324"):
+            assert main(["solve", "--Q0", "1e-309", "--tol", tol]) == 2
             captured = capsys.readouterr()
             assert captured.out == ""
             err = json.loads(captured.err)
@@ -91,14 +91,26 @@ class TestSolve:
             assert "smallest supported coupling" in err["message"]
 
     def test_residual_flat_to_rounding_near_the_smallest_coupling(self):
-        # the exact path at A = 2.2e-308 needs the root-finder's bisection
-        # fallback where its interpolation denominator underflows to 0
-        for tol in ("1.0", "1e-12"):
-            code, out, err = _main(["solve", "--Q0", "2.2e-308", "--tol", tol, "--switch-a", "0"])
+        # the closed form's residual is 0 at A = 2.2e-308, so it meets every
+        # --tol; test_dispersion runs the exact branch there
+        for tol in ("1.0", "1e-12", "5e-324"):
+            code, out, err = _main(["solve", "--Q0", "2.2e-308", "--tol", tol])
             assert (code, err) == (0, "")
             data = json.loads(out)
-            assert data["method"] == "exact"
-            assert abs(data["residual"]) <= float(tol)
+            assert data["method"] == "asymptotic-zero-sound"
+            assert data["residual"] == 0.0
+
+    def test_every_returned_root_meets_the_tolerance(self, capsys):
+        # the closed form misses 1e-16 at A = 0.0598 (-8.9e-16), so the
+        # exact branch answers
+        assert main(["solve", "--Q0", "0.0598", "--tol", "1e-16"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert (data["method"], data["residual"]) == ("exact", 0.0)
+        assert main(["solve", "--Q0", "0.0598"]) == 0
+        assert json.loads(capsys.readouterr().out)["method"] == "asymptotic-zero-sound"
+        # no point meets 1e-300 at A = 0.5
+        assert main(["solve", "--Q0", "0.5", "--tol", "1e-300"]) == 4
+        assert json.loads(capsys.readouterr().err)["error"] == "convergence"
 
     def test_control_characters_in_a_path_are_escaped(self, tmp_path):
         path = str(tmp_path / "x\ny")
@@ -223,6 +235,7 @@ class TestSimulate:
         assert main(["simulate", "--Q0", "1", "--n-mu", "32", "--steps", "2048",
                      "--out", str(out)]) == 0
         summary = json.loads(capsys.readouterr().out)
+        assert summary["window"] == "hann"  # the one window spectral_peak applies
         assert abs(summary["peak_frequency"] - summary["analytic_S"]) <= summary["bin_width"]
         assert summary["deviation"] == pytest.approx(
             abs(summary["peak_frequency"] - summary["analytic_S"]), rel=1e-12
@@ -337,9 +350,9 @@ class TestCompare:
         assert time_row[0] == "time-domain"
         assert time_row[4] == "no-collective-peak"
 
-    def test_raised_switch_makes_rows_identical(self, capsys):
-        main(["compare", "--Q0", "0.1", "--k-lambda", "0.01",
-              "--switch-a", "0.2", "--n-mu", "16", "--steps", "2048"])
+    def test_closed_form_rows_identical_below_a_0_06(self, capsys):
+        # below A = 0.06 the exact row is the closed form, which meets --tol
+        main(["compare", "--Q0", "0.05", "--k-lambda", "0.01", "--n-mu", "16", "--steps", "2048"])
         lines = capsys.readouterr().out.splitlines()
         exact = lines[1].split(",")
         asym = lines[2].split(",")
@@ -384,8 +397,6 @@ RANGE_ERRORS = [
     ("solve", "--Q0", "-inf", "Q0"),
     ("solve", "--k-lambda", "inf", "k_lambda_d"),
     ("solve", "--tol", "inf", "tolerance"),
-    ("solve", "--max-iter", "0", "max_iterations"),
-    ("solve", "--switch-a", "inf", "asymptotic_switch_A"),
     ("scan", "--Q0", "1e400", "Q0"),
     ("scan", "--k-min", "nan", "k_min"),
     ("scan", "--k-max", "inf", "k_max"),
@@ -403,10 +414,8 @@ RANGE_ERRORS = [
     ("simulate", "--dt", "nan", "dt"),
     ("simulate", "--dt", "-1e-3", "dt"),
     ("simulate", "--amplitude", "inf", "state values"),
-    ("simulate", "--switch-a", "nan", "asymptotic_switch_A"),
     ("compare", "--Q0", "nan", "Q0"),
     ("compare", "--k-lambda", "inf", "k_lambda_d"),
-    ("compare", "--max-iter", "0", "max_iterations"),
 ]
 
 # compare reports a rejected oracle knob in the rows it spoils
@@ -456,7 +465,7 @@ class TestRangeErrors:
 
     @pytest.mark.parametrize("argv", [
         ["solve", "--Q0", "one"],
-        ["solve", "--Q0", "1", "--max-iter", "1.5"],
+        ["scan", "--Q0", "1", "--k-min", "0.1", "--k-max", "1", "--points", "1.5"],
         ["simulate", "--Q0", "1", "--steps", "1e3", "--out", "t.csv"],
         ["scan", "--Q0", "1", "--k-min", "0.1", "--k-max"],
     ])
@@ -488,19 +497,18 @@ FLOAT_TEXT = st.one_of(
 
 
 @settings(max_examples=300, deadline=None)
-@given(q0=FLOAT_TEXT, k=FLOAT_TEXT, tol=FLOAT_TEXT, switch=FLOAT_TEXT)
-def test_solve_ends_in_a_result_or_a_labeled_error(q0, k, tol, switch):
+@given(q0=FLOAT_TEXT, k=FLOAT_TEXT, tol=FLOAT_TEXT)
+@example(q0="0.0598", k="0", tol="1e-16")  # the closed form's residual is -8.9e-16 here
+def test_solve_ends_in_a_result_or_a_labeled_error(q0, k, tol):
     # the "--flag=value" form; main also joins "--flag -1e-05" into it
-    argv = ["solve", f"--Q0={q0}", f"--k-lambda={k}", f"--tol={tol}", f"--switch-a={switch}"]
-    code, out, err = _main(argv)
+    code, out, err = _main(["solve", f"--Q0={q0}", f"--k-lambda={k}", f"--tol={tol}"])
     if code == 0:
         assert err == ""
         point = DispersionPoint.from_json_dict(json.loads(out))
-        if point.method.value == "exact":
-            assert abs(point.residual) <= float(tol)
-        else:
-            # below --switch-a the closed form is returned as it stands
-            assert point.A < float(switch)
+        # every returned point meets --tol, the closed form included
+        assert abs(point.residual) <= float(tol)
+        if point.method.value != "exact":
+            assert point.A < 0.06
             coupling = coupling_strength(InteractionModel(point.Q0), point.k_lambda_d)
             assert point == asymptotic_zero_sound(coupling)
         assert math.isfinite(point.S)
@@ -587,15 +595,13 @@ class TestSolverDefaults:
     def test_no_flags_parse_to_the_config_defaults(self, command):
         argv = [*BASE_ARGV[command], *(["--out", "t.csv"] if command == "simulate" else [])]
         args = build_parser().parse_args(argv)
-        assert SolverConfig(args.tol, args.max_iter, args.switch_a) == SolverConfig()
+        assert SolverConfig(args.tol) == SolverConfig()
 
     def test_help_prints_the_defaults(self, capsys):
         with pytest.raises(SystemExit):
             main(["solve", "--help"])
         text = " ".join(capsys.readouterr().out.split())
-        config = SolverConfig()
-        for value in (config.tolerance, config.max_iterations, config.asymptotic_switch_A):
-            assert f"(default {value})" in text
+        assert f"(default {SolverConfig().tolerance})" in text
 
 
 class TestEntryPoint:

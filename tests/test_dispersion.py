@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from zerosound import (
     ConvergenceError,
@@ -36,8 +36,9 @@ from zerosound import (
     landau_kernel,
     solve_zero_sound,
 )
-from zerosound import dispersion
+from zerosound import _roots, dispersion
 from zerosound._roots import increasing_root
+from zerosound.dispersion import _exact_zero_sound
 
 # F(S) at fixed abscissae, 50-digit evaluation rounded to double
 KERNEL_REFERENCE = {
@@ -147,6 +148,24 @@ class TestSolveZeroSound:
         assert solve_zero_sound(0.06).method is Method.EXACT
         assert solve_zero_sound(0.059).method is Method.ASYMPTOTIC_ZERO_SOUND
 
+    def test_closed_form_meets_the_default_tolerance_below_0_06(self):
+        # so the default tolerance always takes the closed form there; its
+        # worst residual is 4 ulp of 1, -8.9e-16 (at A = 0.0598 for one)
+        rng = np.random.default_rng(13)
+        exponents = rng.uniform(math.log10(dispersion._MIN_COUPLING), math.log10(0.06), 20000)
+        for a in [*(10.0**exponents), 0.0598, math.nextafter(0.06, 0.0)]:
+            assert abs(asymptotic_zero_sound(float(a)).residual) <= 8.9e-16, a
+            assert solve_zero_sound(float(a)).method is Method.ASYMPTOTIC_ZERO_SOUND
+
+    def test_a_tolerance_the_closed_form_misses_runs_the_exact_branch(self):
+        assert asymptotic_zero_sound(0.0598).residual == -8.881784197001252e-16
+        point = solve_zero_sound(0.0598, SolverConfig(tolerance=1e-16))
+        assert point == _exact_zero_sound(0.0598, 1e-16)
+        assert point.method is Method.EXACT and point.residual == 0.0
+        # where neither meets the tolerance, the error is labeled
+        with pytest.raises(ConvergenceError):
+            solve_zero_sound(0.5, SolverConfig(tolerance=1e-300))
+
     def test_accepts_coupling_objects(self):
         c = coupling_strength(InteractionModel(1.0), 0.0)
         assert solve_zero_sound(c) == solve_zero_sound(1.0)
@@ -156,10 +175,9 @@ class TestSolveZeroSound:
         assert point.S_minus_1 == 0.0
         assert point.log_excess == pytest.approx(math.log(2.0) - 2002.0, rel=1e-15)
         assert point.above_continuum
-        # the exact path too, where ln(S - 1) ~ -2/A outgrows any fixed bracket step
-        exact = SolverConfig(asymptotic_switch_A=0.0)
+        # the exact branch too, where ln(S - 1) ~ -2/A outgrows any fixed bracket step
         for a in (1e-17, 1e-100, 1e-300, 1.2e-308):
-            point = solve_zero_sound(a, exact)
+            point = _exact_zero_sound(a)
             assert point.method is Method.EXACT
             assert abs(point.residual) <= 1e-12
             assert point.log_excess == pytest.approx(math.log(2.0) - 2.0 - 2.0 / a, rel=1e-12)
@@ -168,23 +186,24 @@ class TestSolveZeroSound:
     def test_coupling_below_the_smallest_supported_is_rejected(self):
         smallest = 1.112536929253601e-308
         assert math.isfinite(2.0 / smallest)
-        assert solve_zero_sound(smallest, SolverConfig(asymptotic_switch_A=0.0)).method is Method.EXACT
+        assert _exact_zero_sound(smallest).method is Method.EXACT
         for a in (math.nextafter(smallest, 0.0), 1e-309, 5e-324):
             assert math.isinf(2.0 / a)
             for solve in (solve_zero_sound, asymptotic_zero_sound):
                 with pytest.raises(InvalidArgumentError, match="1.112536929253601e-308"):
                     solve(a)
             with pytest.raises(InvalidArgumentError):
-                solve_zero_sound(a, SolverConfig(asymptotic_switch_A=0.0))
+                _exact_zero_sound(a)
 
     def test_no_root_for_nonpositive_coupling(self):
         for a in (0.0, -1.0):
             with pytest.raises(NoUndampedRootError):
                 solve_zero_sound(a)
 
-    def test_starved_iteration_budget_reports_bracket(self):
+    def test_starved_iteration_budget_reports_bracket(self, monkeypatch):
+        monkeypatch.setattr(_roots, "_MAX_EVALUATIONS", 1)
         with pytest.raises(ConvergenceError) as info:
-            solve_zero_sound(1.0, SolverConfig(max_iterations=1))
+            solve_zero_sound(1.0)
         assert info.value.bracket is not None
 
     def test_residual_evaluations_per_exact_root(self, monkeypatch):
@@ -204,8 +223,7 @@ class TestSolveZeroSound:
         # between bracket ends underflow: the inverse quadratic step has a
         # zero denominator and the search must bisect instead
         for tolerance in (1.0, 1e-12):
-            cfg = SolverConfig(tolerance=tolerance, asymptotic_switch_A=0.0)
-            point = solve_zero_sound(2.2e-308, cfg)
+            point = _exact_zero_sound(2.2e-308, tolerance)
             assert point.method is Method.EXACT
             assert abs(point.residual) <= tolerance
             assert point.log_excess == pytest.approx(math.log(2.0) - 2.0 - 2.0 / 2.2e-308, rel=1e-12)
@@ -229,34 +247,29 @@ class TestSolveZeroSound:
             st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),  # subnormals too
             st.floats(min_value=5e-324, max_value=1.2e-307),  # around the smallest supported
             st.floats(min_value=1e-3, max_value=1e3),
+            st.floats(min_value=0.05, max_value=0.07),  # around the closed-form limit
         ),
         tolerance=st.one_of(
             st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
             st.floats(min_value=1e-16, max_value=1e-6),
-        ),
-        max_iterations=st.integers(min_value=1, max_value=400),
-        switch=st.one_of(
-            st.just(0.0),
-            st.floats(min_value=0.0, max_value=1.0),
-            st.floats(min_value=0.0, allow_infinity=False),
+            st.floats(min_value=1e-18, max_value=1e-15),  # about the closed form's residuals
         ),
     )
+    @example(a=0.0598, tolerance=1e-16)  # the closed form's residual is -8.9e-16 here
     @settings(max_examples=500, deadline=None)
-    def test_ends_in_a_checked_point_or_a_labeled_error(self, a, tolerance, max_iterations, switch):
-        cfg = SolverConfig(tolerance=tolerance, max_iterations=max_iterations, asymptotic_switch_A=switch)
+    def test_ends_in_a_checked_point_or_a_labeled_error(self, a, tolerance):
         try:
-            point = solve_zero_sound(a, cfg)
+            point = solve_zero_sound(a, SolverConfig(tolerance=tolerance))
         except ZeroSoundError as exc:
             assert type(exc) is not ZeroSoundError and exc.label != "error"
             if isinstance(exc, InvalidArgumentError):
                 assert math.isinf(2.0 / a)  # below the smallest supported coupling
             return
         assert point.A == a
-        if point.method is Method.EXACT:
-            assert abs(point.residual) <= tolerance
-        else:
-            # the closed form is returned below the switch, whatever its residual
-            assert point.method is Method.ASYMPTOTIC_ZERO_SOUND and a < switch
+        # every returned point meets the tolerance, the closed form included
+        assert abs(point.residual) <= tolerance
+        if point.method is not Method.EXACT:
+            assert point.method is Method.ASYMPTOTIC_ZERO_SOUND and a < 0.06
         # log_excess is ln(S_minus_1) within the sweep benchmark's allowance
         v, excess = point.log_excess, point.S_minus_1
         slack = 1e-12 * max(1.0, abs(v)) * excess + 2.0 * math.ulp(excess)
@@ -272,7 +285,7 @@ class TestIncreasingRoot:
     def test_step_function(self):
         # no interpolation step helps; the search ends by bisection
         for lo, hi in ((-1.0, 1.0), (-3.0, 7.0), (-1e-300, 5.0)):
-            x, r, (b_lo, b_hi) = increasing_root(lambda x: 1.0 if x > 0.0 else -1.0, lo, hi, 200, "step")
+            x, r, (b_lo, b_hi) = increasing_root(lambda x: 1.0 if x > 0.0 else -1.0, lo, hi, "step")
             assert b_lo <= 0.0 < b_hi
             assert b_hi - b_lo <= self._stop_width(b_lo, b_hi)
             assert x in (b_lo, b_hi) and r == (1.0 if x > 0.0 else -1.0)
@@ -280,24 +293,25 @@ class TestIncreasingRoot:
     def test_underflowing_slopes_bisect(self):
         # slopes of 1e-200 square to 0 in the inverse quadratic denominator
         f = lambda x: 1e-200 * (x + x**3)
-        x, r, (b_lo, b_hi) = increasing_root(f, -1.0, 2.0, 200, "scaled cubic")
+        x, r, (b_lo, b_hi) = increasing_root(f, -1.0, 2.0, "scaled cubic")
         assert f(b_lo) <= 0.0 <= f(b_hi)
         assert b_hi - b_lo <= self._stop_width(b_lo, b_hi)
         assert abs(x) <= 1e-15 and r == f(x)
 
     def test_returns_the_end_with_the_smaller_residual(self):
         f = lambda x: math.exp(x) - 2.0
-        x, r, (b_lo, b_hi) = increasing_root(f, 0.0, 0.1, 200, "exp")  # expands upward first
+        x, r, (b_lo, b_hi) = increasing_root(f, 0.0, 0.1, "exp")  # expands upward first
         assert x == pytest.approx(math.log(2.0), rel=2e-15, abs=0.0)
         assert x in (b_lo, b_hi) and r == f(x)
         assert abs(r) <= min(abs(f(b_lo)), abs(f(b_hi)))
 
-    def test_budget_counts_evaluations_after_bracketing(self):
+    def test_budget_counts_evaluations_after_bracketing(self, monkeypatch):
         calls = []
         f = lambda x: calls.append(x) or math.atan(x - 0.3)
         for budget in (1, 2, 5):
+            monkeypatch.setattr(_roots, "_MAX_EVALUATIONS", budget)
             calls.clear()
-            increasing_root(f, -1.0, 1.0, budget, "atan")
+            increasing_root(f, -1.0, 1.0, "atan")
             assert len(calls) == 2 + budget
 
 
@@ -311,7 +325,7 @@ class TestAsymptoticZeroSound:
     def test_weak_coupling_accuracy_improves_toward_zero(self):
         deviations = []
         for a in (0.3, 0.2, 0.1, 0.06):
-            exact_u = solve_zero_sound(a, SolverConfig(asymptotic_switch_A=0.0)).S_minus_1
+            exact_u = _exact_zero_sound(a).S_minus_1
             asym_u = asymptotic_zero_sound(a).S_minus_1
             deviations.append(abs(asym_u - exact_u) / exact_u)
         assert all(d <= 0.05 for d in deviations)
@@ -367,24 +381,12 @@ class TestHighFrequencyBranch:
 
 class TestSolverConfig:
     def test_defaults(self):
-        cfg = SolverConfig()
-        assert cfg.tolerance == 1e-12
-        assert cfg.max_iterations == 200
-        assert cfg.asymptotic_switch_A == 0.06
+        assert SolverConfig().tolerance == 1e-12
 
     def test_validation(self):
-        with pytest.raises(InvalidArgumentError):
-            SolverConfig(tolerance=0.0)
-        with pytest.raises(InvalidArgumentError):
-            SolverConfig(max_iterations=0)
-        with pytest.raises(InvalidArgumentError):
-            SolverConfig(asymptotic_switch_A=-0.1)
-
-    def test_max_iterations_must_be_an_integer(self):
-        for value in (2.5, 200.0):
-            with pytest.raises(InvalidArgumentError, match="max_iterations must be an integer"):
-                SolverConfig(max_iterations=value)
-        assert solve_zero_sound(1.0, SolverConfig(max_iterations=np.int64(200))) == solve_zero_sound(1.0)
+        for tolerance in (0.0, -1e-12, math.nan, math.inf):
+            with pytest.raises(InvalidArgumentError, match="tolerance"):
+                SolverConfig(tolerance=tolerance)
 
 
 class TestGridSpec:

@@ -13,6 +13,7 @@ from zerosound import (
     MAX_GRID_SIZE,
     MAX_STEPS,
     AngularState,
+    DomainError,
     InvalidArgumentError,
     NoCollectivePeakError,
     NoUndampedRootError,
@@ -71,7 +72,9 @@ def _four_stage_rk4_trace(y, mu, half_w, a, dt, steps):
         k3 = imu * (t2 + a * (half_w @ t2))
         t3 = y + dt * k3
         k4 = imu * (t3 + a * (half_w @ t3))
-        y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        # each stage is scaled by its weight before the sum: the k are of
+        # size A, and at A near the float range their plain sum overflows
+        y = y + (sixth * k1 + (2.0 * sixth) * k2 + (2.0 * sixth) * k3 + sixth * k4)
         trace[step + 1] = half_w @ y
     return trace
 
@@ -112,6 +115,34 @@ class TestAngularGrid:
         # numpy integers are integers
         g = build_angular_grid(np.int64(8))
         assert g.size == 8 and np.array_equal(g.nodes, build_angular_grid(8).nodes)
+
+    @pytest.mark.parametrize("nodes,weights,message", [
+        ([[-0.5, 0.5]], [[1.0, 1.0]], "one-dimensional"),
+        ([-0.5, 0.5], [1.0, 1.0, 1.0], "one weight per node"),
+        ([], [], "one weight per node"),
+        ([-0.5, math.nan, 0.5], [1.0, 1.0, 1.0], "nodes must be finite"),
+        ([-0.5 + 1j, 0.5 - 1j], [1.0, 1.0], "nodes must be float numbers"),
+        ([-0.5, 0.5], ["1", "1"], "weights must be float numbers"),
+        ([-0.5, 0.5], [1.0, math.inf], "weights must be finite"),
+        ([0.5, -0.5], [1.0, 1.0], "strictly ascending"),
+        ([-0.5, 0.0, 0.0, 0.5], [1.0, 1.0, 1.0, 1.0], "strictly ascending"),
+        ([-2.0, 2.0], [1.0, 1.0], "within \\[-1, 1\\]"),
+        ([0.1, 0.5, 0.9], [1.0, 1.0, 1.0], "mirrored"),
+        ([-0.5, 0.5 + 2**-53], [1.0, 1.0], "mirrored"),
+        ([-0.5, 0.5], [1.0, 0.9], "mirrored"),
+        ([-0.5, 0.0, 0.5], [1.0, 0.0, 1.0], "weights must be positive"),
+    ])
+    def test_rejects_a_grid_that_is_not_a_mirrored_rule(self, nodes, weights, message):
+        with pytest.raises(InvalidArgumentError, match=message):
+            zerosound.AngularGrid(nodes=np.array(nodes), weights=np.array(weights))
+
+    def test_keeps_read_only_copies(self):
+        nodes, weights = np.array([-0.5, 0.0, 0.5]), np.array([0.5, 1.0, 0.5])
+        grid = zerosound.AngularGrid(nodes=nodes, weights=weights)
+        nodes[0], weights[0] = -0.9, 7.0  # the caller's arrays stay writeable
+        assert grid.nodes.tolist() == [-0.5, 0.0, 0.5] and grid.weights.tolist() == [0.5, 1.0, 0.5]
+        for array in (grid.nodes, grid.weights, build_angular_grid(8).nodes):
+            assert not array.flags.writeable
 
     @pytest.mark.parametrize("n", [8, 33, 64, 128, 400])
     def test_matches_a_40_digit_reference(self, n):
@@ -155,6 +186,19 @@ class TestSecularSum:
         # matrix-oracle grid reaches the same absolute floor
         S = 1.0443820337608335
         assert abs(secular_sum(S, build_angular_grid(400)) - landau_kernel(S)) <= 4.4e-16
+
+    def test_rejects_S_on_or_inside_the_node_band(self):
+        g = build_angular_grid(4)
+        mu_max = float(g.nodes[-1])
+        for S in (0.5, 0.0, -0.5, mu_max, -mu_max):
+            with pytest.raises(DomainError, match="mu_max"):
+                secular_sum(S, g)
+        for S in (math.nan, math.inf, -math.inf):
+            with pytest.raises(InvalidArgumentError, match="S must be finite"):
+                secular_sum(S, g)
+        # just outside the band on either side, the sum is even in S
+        above = math.nextafter(mu_max, 2.0)
+        assert secular_sum(-above, g) == pytest.approx(secular_sum(above, g), rel=1e-15, abs=0.0)
 
     def test_large_S_agreement(self):
         g = build_angular_grid(64)
@@ -337,6 +381,9 @@ class TestEvolve:
             AngularState(np.array([1.0, math.nan]))
         with pytest.raises(InvalidArgumentError):
             AngularState(np.ones((2, 2)))
+        for values in (["1", "2"], [None, 1.0]):  # text and objects, not numbers
+            with pytest.raises(InvalidArgumentError, match="must be complex numbers"):
+                AngularState(values)
 
     def test_the_callers_array_stays_writeable(self):
         a = np.ones(8, dtype=complex)
@@ -481,11 +528,9 @@ def _tone(omega, n, dt):
 
 class TestSpectralPeak:
     def test_synthetic_tone_recovered(self):
-        series = _tone(1.5, 4096, 0.05)
-        for window in ("hann", "none"):
-            peak = spectral_peak(series, window=window)
-            assert abs(peak.frequency - 1.5) <= peak.bin_width
-            assert peak.bin_width == pytest.approx(2.0 * math.pi / (4096 * 0.05), rel=1e-15)
+        peak = spectral_peak(_tone(1.5, 4096, 0.05))
+        assert abs(peak.frequency - 1.5) <= peak.bin_width
+        assert peak.bin_width == pytest.approx(2.0 * math.pi / (4096 * 0.05), rel=1e-15)
 
     def test_interpolation_beats_the_grid(self):
         peak = spectral_peak(_tone(1.5, 4096, 0.05))
@@ -500,9 +545,8 @@ class TestSpectralPeak:
 
     def test_constant_series_has_no_peak(self):
         series = TimeSeries(dt=0.05, samples=np.ones(4096, dtype=np.complex128))
-        for window in ("hann", "none"):
-            with pytest.raises(NoCollectivePeakError):
-                spectral_peak(series, window=window)
+        with pytest.raises(NoCollectivePeakError):
+            spectral_peak(series)
 
     def test_short_constant_series_has_no_peak(self):
         # at 64 samples the spectral skirt of the zero-frequency line
@@ -554,7 +598,34 @@ class TestSpectralPeak:
             TimeSeries(dt=0.05, samples=np.where(np.arange(4096) == 7, math.nan, samples))
 
     def test_validation(self):
-        with pytest.raises(InvalidArgumentError):
+        with pytest.raises(InvalidArgumentError, match="at least 64 samples"):
             spectral_peak(_tone(1.5, 63, 0.05))
-        with pytest.raises(InvalidArgumentError):
-            spectral_peak(_tone(1.5, 4096, 0.05), window="flat-top")
+        # Nyquist pi / dt lies below the continuum edge
+        with pytest.raises(InvalidArgumentError, match="no searchable band"):
+            spectral_peak(_tone(0.5, 4096, 4.0))
+
+    @given(n=st.integers(64, 4096), omega=st.floats(0.0, 1.0), dt=st.floats(0.01, 0.5),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_interpolation_stays_within_half_a_padded_bin(self, n, omega, dt, seed):
+        # tones anywhere in the search band, with a second tone and noise, so
+        # the three bins around the maximum take every shape
+        rng = np.random.default_rng(seed)
+        nyquist = math.pi / dt
+        if nyquist <= 1.1:
+            return
+        t = dt * np.arange(n)
+        f1, f2 = 1.0 + (nyquist - 1.0) * np.array([omega, rng.random()])
+        x = np.exp(-1j * (f1 * t + rng.uniform(0.0, 2.0 * math.pi)))
+        x += rng.uniform(0.0, 1.5) * np.exp(-1j * f2 * t)
+        x += rng.uniform(0.0, 0.5) * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        try:
+            peak = spectral_peak(TimeSeries(dt=dt, samples=x))
+        except NoCollectivePeakError:
+            return
+        # the grid maximum of the same 4x padded, Hann-windowed spectrum
+        mag = np.abs(np.fft.fft(np.conj(x * np.hanning(n)), n=4 * n))
+        d_omega = 2.0 * math.pi / (4 * n * dt)
+        k_min = int(math.floor(1.0 / d_omega)) + 1
+        j = k_min + int(np.argmax(mag[k_min : 2 * n]))
+        assert abs(peak.frequency - j * d_omega) <= (0.5 + 1e-12) * d_omega

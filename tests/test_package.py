@@ -1,6 +1,8 @@
 """The package's public names: declared once, in each module's ``__all__``."""
 
+import argparse
 import ast
+import dataclasses
 import inspect
 from pathlib import Path
 
@@ -31,6 +33,31 @@ def test_errors_lists_every_error_type():
         if inspect.isclass(value) and issubclass(value, zerosound.ZeroSoundError)
     }
     assert set(errors.__all__) == defined
+
+
+# every option of every subcommand; a new option must show up here
+OPTIONS = {
+    "solve": {"--tol", "--params-file", "--Q0", "--k-lambda"},
+    "scan": {"--tol", "--params-file", "--Q0", "--k-min", "--k-max", "--points", "--log",
+             "--out", "--format"},
+    "simulate": {"--tol", "--Q0", "--k-lambda", "--n-mu", "--dt", "--steps", "--amplitude",
+                 "--out"},
+    "compare": {"--tol", "--params-file", "--Q0", "--k-lambda", "--n-mu", "--dt", "--steps",
+                "--mass-convention", "--out", "--format"},
+}
+
+
+def test_option_surface():
+    (subparsers,) = [action for action in cli.build_parser()._actions
+                     if isinstance(action, argparse._SubParsersAction)]
+    found = {
+        command: {flag for action in parser._actions if not isinstance(action, argparse._HelpAction)
+                  for flag in action.option_strings}
+        for command, parser in subparsers.choices.items()
+    }
+    assert found == OPTIONS
+    assert [field.name for field in dataclasses.fields(zerosound.SolverConfig)] == ["tolerance"]
+    assert list(inspect.signature(zerosound.spectral_peak).parameters) == ["series"]
 
 
 def test_cli_imports_no_numpy():
