@@ -9,8 +9,8 @@ gives two cross-checks of the analytic dispersion relation: the discrete
 secular equation (a matrix eigenproblem in disguise) and direct time
 evolution followed by spectral estimation.  The secular root shares only
 the generic bracketed root-finder with the exact solver, never a kernel
-evaluation; the time-domain oracle (RK4, evolved in blocks of steps from
-the diagonal-plus-rank-4 form of its step) shares nothing.
+evaluation; the time-domain oracle (blocked RK4 on the state's two
+mirror-symmetric parts, over the mu >= 0 half of the grid) shares nothing.
 S and frequency are in continuum-edge units (time in 1/(k v_F)), so the
 collective line of the evolved signal sits at omega = S.
 
@@ -51,13 +51,11 @@ __all__ = [
     "MAX_STEPS",
 ]
 
-# the time evolution has a single implementation, the blocked numpy
-# evolution in _rk4_trace below
-BACKEND = "numpy"
+BACKEND = "numpy"  # the one evolution path, _rk4_trace below
 
 # size ceilings, checked before anything is allocated: the grid build is
 # O(N^2) vector work (about 30 s at the ceiling), and the trace of
-# MAX_STEPS steps holds 256 MiB before its 4x zero-padded transform
+# MAX_STEPS steps holds 256 MiB before its transform, zero-padded to at least 4x
 MAX_GRID_SIZE = 2**16
 MAX_STEPS = 2**24
 
@@ -288,9 +286,9 @@ def _scale_back(what, x, e):
 
 
 def _block_size(n):
-    # steps per block: the factors F (5B x N) and W (4B x N) hold 144 B N
-    # bytes, kept within 1 MiB, so memory stays O(N) up to MAX_GRID_SIZE
-    return min(64, max(1, 2**20 // (144 * n)))
+    # steps per block: the factors F (5B rows) and W (4B rows) on ceil(N/2)
+    # half-grid nodes hold 144 B ceil(N/2) bytes, kept within 1 MiB
+    return min(64, max(1, 2**20 // (144 * (n - n // 2))))
 
 
 def _row_powers(t, e, U, C, count):
@@ -299,60 +297,59 @@ def _row_powers(t, e, U, C, count):
     rows = np.empty((count, t.shape[0]), dtype=np.complex128)
     for m in range(count):
         rows[m] = t
-        t = t + (t * e + (t @ U) @ C)
+        t = t + (t * e + (t @ U).real @ C)
     return rows
 
 
-def _rk4_trace(y, mu, half_w, a, dt, steps):
+def _rk4_trace(y, mu, w, a, dt, steps):
     import numpy as np
-    # dy/dt = L y with (L y)_i = -i mu_i (y_i + a <y>), <y> = sum_j half_w_j y_j,
-    # so hL = diag(z) + (h u) v^T with z = -i h mu, h u = a z and v = half_w.
-    # L is linear and constant, so one classical RK4 step is the degree-4
-    # Taylor polynomial M = R(hL), R(x) = 1 + x + x^2/2 + x^3/6 + x^4/24, and
-    # (hL)^k = diag(z^k) + sum_{p<k} diag(z^p) (h u) v^T (hL)^(k-1-p) makes it
-    # a diagonal plus rank 4:
-    #   M = diag(d) + U C,  d = R(z),  U_p = z^p (h u),
-    #   C_p = sum_{k=p+1..4} v^T (hL)^(k-1-p) / k!.
-    # The stability bound keeps |z| <= 0.1 and |h u| < 0.1, so every factor
-    # is O(1) at every finite A.
-    # From the state y at the start of a block of B steps, the samples are
-    # v^T M^m y (m < B), and the state moves on by
-    #   M^B = diag(d^B) + sum_{m<B} diag(d^(B-1-m)) U C M^m.
-    # F stacks the rows v^T M^m and C M^m, W the rows d^(B-1-m) U^T, so a
-    # block is F @ y, one product with W and one elementwise product: no
-    # matrix-matrix product and no eigenvalues.  d and d^B enter as d - 1
-    # and d^B - 1, added to the identity last, as the RK4 stages add to y:
-    # a rounded d ~ 1 would drift the amplitude by up to half an ulp per step.
-    n = mu.shape[0]
-    z = dt * (-1j * mu)
+    # dy/dt = L y, (L y)_i = -i mu_i (y_i + a <y>), <y> = (1/2) sum_j w_j y_j.
+    # P conj(L) P = L for the mirror P: mu -> -mu (AngularGrid checks it), so
+    # y = s + i x, s = (y + P conj y)/2, x = (y - P conj y)/(2i), splits into
+    # two parts with F(-mu) = conj F(mu), each run on the mu >= 0 half, where
+    # <q> = Re(v . q) (v = w, and w/2 at mu = 0) and a row t stands for
+    # Re(t . q).  There hL = diag(z) + (h u) v, z = -i h mu, h u = a z, and
+    # the RK4 step of the constant L is M = R(hL) = diag(d) + U C (R(x) =
+    # sum_{k<=4} x^k/k!, d = R(z), U_p = z^p (h u), C_p = sum_{k=p+1..4}
+    # v (hL)^(k-1-p) / k!), so t M = t d + Re(t U) C; the stability bound
+    # keeps every factor O(1).  A block of B steps gives the samples v M^m q
+    # (m < B) and moves q on by M^B = diag(d^B) + sum_{m<B} diag(d^(B-1-m))
+    # U C M^m: F stacks the rows v M^m and C M^m, W the rows d^(B-1-m) U^T,
+    # both used as float64 views against the two columns q = s, x.
+    # d and d^B enter as d - 1 and d^B - 1, added last as the RK4 stages add
+    # to y: a rounded d ~ 1 would drift the amplitude by half an ulp per step.
+    h = mu.shape[0] // 2
+    mirror = np.conj(y[::-1])[h:]
+    Y = np.stack(((y[h:] + mirror) / 2.0, (y[h:] - mirror) / 2j))
+    v = w[h:] / np.where(mu[h:] == 0.0, 2.0, 1.0)
+    z = dt * (-1j * mu[h:])
     e = z * (1.0 + z / 2.0 * (1.0 + z / 3.0 * (1.0 + z / 4.0)))  # d - 1
     cols = [a * z]
-    rows = [half_w]  # v^T (hL)^m, from t (hL) = t z + (t . h u) v
+    rows = [v]  # v (hL)^m
     for _ in range(3):
         cols.append(z * cols[-1])
-        rows.append(rows[-1] * z + (rows[-1] @ cols[0]) * half_w)
+        rows.append(rows[-1] * z + (rows[-1] @ cols[0]).real * v)
     U = np.stack(cols, axis=1)
-    C = np.array([
-        sum(rows[k - 1 - p] / math.factorial(k) for k in range(p + 1, 5)) for p in range(4)
-    ])
+    C = np.array([sum(rows[k - 1 - p] / math.factorial(k) for k in range(p + 1, 5))
+                  for p in range(4)])
 
-    b = _block_size(n)
-    F = np.concatenate([_row_powers(t, e, U, C, b) for t in (half_w, *C)])
-    excess = np.zeros((b + 1, n), dtype=np.complex128)  # excess[m] = d^m - 1
+    b = _block_size(mu.shape[0])
+    F = np.conj(np.concatenate([_row_powers(t, e, U, C, b) for t in (v, *C)])).view(np.float64)
+    excess = np.zeros((b + 1, v.shape[0]), dtype=np.complex128)  # excess[m] = d^m - 1
     for m in range(b):
         excess[m + 1] = excess[m] + e * (1.0 + excess[m])
     # row p B + m of W is d^(B-1-m) U_p, to meet row B + p B + m of F
-    W = (U.T[:, None, :] * (1.0 + excess[b - 1 :: -1])).reshape(4 * b, n)
+    W = (U.T[:, None, :] * (1.0 + excess[b - 1 :: -1])).reshape(4 * b, -1).view(np.float64)
     e_b = excess[b]
 
     total = steps + 1
-    trace = np.empty(total, dtype=np.complex128)
+    trace = np.empty((total, 2))  # the rows [<s>, <x>]
     for start in range(0, total, b):
-        block = F @ y
+        block = F @ Y.view(np.float64).T
         stop = min(start + b, total)
         trace[start:stop] = block[: stop - start]
-        y = y + (e_b * y + block[b:] @ W)
-    return trace
+        Y = Y + (e_b * Y + (block[b:].T @ W).view(np.complex128))
+    return trace.view(np.complex128)[:, 0]
 
 
 def evolve_initial_value(coupling, grid, initial, dt, steps):
@@ -364,10 +361,10 @@ def evolve_initial_value(coupling, grid, initial, dt, steps):
     scale: a state times 2^k gives the trace times 2^k, bit for bit, and
     NumericalBlowupError means that this trace leaves the float range.
     The step's factors are built from h L, which the stability bound keeps
-    O(1), so they stay finite at every finite A.  The steps are taken in
-    blocks of B = min(64, max(1, 2**20 // (144 N))) on N nodes, each block
-    a few matrix-vector products with factors of 144 B N bytes (1 MiB for
-    N <= 7281); the trace agrees with the stage-by-stage RK4 loop to rounding.
+    O(1), so they stay finite at every finite A.  The state's two parts with
+    F(-mu) = conj F(mu) run on the mu >= 0 half grid with a real <F> (such a
+    state's trace has imaginary part exactly 0), in blocks of two-column
+    products; the trace agrees with the four-stage RK4 loop to rounding.
     """
     c = as_coupling(coupling)
     dt = _require_positive("dt", dt)
@@ -378,7 +375,7 @@ def evolve_initial_value(coupling, grid, initial, dt, steps):
     if initial.values.shape[0] != grid.size:
         raise InvalidArgumentError(f"state has {len(initial.values)} values for a grid of {grid.size}")
     y, e = _unit_scale(initial.values)
-    trace = _rk4_trace(y, grid.nodes, 0.5 * grid.weights, c.A, dt, steps)
+    trace = _rk4_trace(y, grid.nodes, grid.weights, c.A, dt, steps)
     return TimeSeries(dt=dt, samples=_scale_back("trace modulus", trace, e))
 
 
@@ -391,8 +388,19 @@ class SpectralPeak:
     bin_width: float
 
 
-_PAD_FACTOR = 4
 _FLOOR_FACTOR = 4.0
+
+
+def _padded_length(n):
+    # the smallest 2^i 3^j 5^k >= 4 n; 4 * 16385 = 2^2 5 29 113 is 2x slower
+    best, p3 = 8 * n, 1
+    while p3 < best:
+        p = p3
+        while p < best:
+            best = min(best, p << ((4 * n - 1) // p).bit_length())
+            p *= 5
+        p3 *= 3
+    return best
 
 
 def spectral_peak(series):
@@ -401,14 +409,14 @@ def spectral_peak(series):
     The signal rotates as exp(-i omega t), so the conjugate spectrum of the
     Hann-windowed trace is searched between the continuum edge and Nyquist.
     The grid maximum is refined by quadratic interpolation of log magnitude
-    over three bins (on a 4x zero-padded transform), and
+    over three bins (on a transform zero-padded to at least 4x), and
     must both rise a factor 4 above the flat-spectrum level and sit
     strictly inside the search band; otherwise no collective peak is
     declared.  bin_width reports the resolution 2 pi / (dt n) of the
-    unpadded record.  The transform runs at unit scale, so the frequency
-    does not depend on the amplitude of the trace and the peak amplitude
-    scales with it, from subnormal samples up; a peak amplitude above the
-    float range raises NumericalBlowupError.
+    unpadded record.  Transform and interpolation run at unit scale, so the
+    frequency does not depend on the amplitude of the trace and the peak
+    amplitude scales with it, from subnormal samples up; a peak amplitude
+    above the float range raises NumericalBlowupError.
     """
     import numpy as np
     x = series.samples
@@ -418,7 +426,7 @@ def spectral_peak(series):
     dt = series.dt
     xw, e = _unit_scale(x * np.hanning(n))
 
-    n_pad = _PAD_FACTOR * n
+    n_pad = _padded_length(n)
     # energy of a flat spectrum: every padded bin of pure noise sits near
     # E / sqrt(n_pad) on average, and sum |X_k|^2 = n_pad sum |x_j|^2, so
     # a genuine line must clear a fixed multiple of the rms level; at unit
@@ -439,16 +447,18 @@ def spectral_peak(series):
     # its maximum on the band edge; a real line is an interior maximum
     if j == k_min or j >= k_max - 1:
         raise NoCollectivePeakError("no interior maximum above the continuum band")
-    la, peak, lg = _scale_back("peak amplitude", mag[j - 1 : j + 2], e).tolist()
-    if mag[j] <= _FLOOR_FACTOR * energy / math.sqrt(n_pad):
+    peak = _scale_back("peak amplitude", mag[j : j + 1], e).item()
+    la, lb, lg = mag[j - 1 : j + 2].tolist()
+    if lb <= _FLOOR_FACTOR * energy / math.sqrt(n_pad):
         raise NoCollectivePeakError(
             f"band maximum {peak!r} does not clear the noise floor at omega = {j * d_omega!r}"
         )
 
-    # lb >= la, lg at the band maximum, so |la - lg| <= -denom and |shift| <= 1/2
+    # lb >= la, lg at the band maximum, so |la - lg| <= -denom and |shift| <= 1/2;
+    # at unit scale, as log(x) loses absolute precision as |log(x)| grows
     shift = 0.0
     if la > 0.0 and lg > 0.0:
-        la, lb, lg = math.log(la), math.log(peak), math.log(lg)
+        la, lb, lg = math.log(la), math.log(lb), math.log(lg)
         denom = la - 2.0 * lb + lg
         if denom < 0.0:
             shift = 0.5 * (la - lg) / denom

@@ -243,6 +243,9 @@ class TestSimulate:
         lines = out.read_text().splitlines()
         assert lines[0] == "t,re_density,im_density,abs_density"
         assert len(lines) == 2050  # header plus steps + 1 samples
+        # the isotropic state has F(-mu) = conj F(mu), so its trace is real
+        assert lines[1] == "0,1,0,1"
+        assert {line.split(",")[2] for line in lines[1:]} == {"0"}
 
     def test_stability_violation_reported_before_writing(self, tmp_path):
         out = tmp_path / "trace.csv"
@@ -304,22 +307,25 @@ class TestSimulate:
 
     def test_blowup_is_one_json_line(self, tmp_path, capsys):
         out = tmp_path / "t.csv"
-        argv = ["simulate", "--steps", "64", "--out", str(out)]
+        argv = ["simulate", "--out", str(out)]
         with warnings.catch_warnings():
             # a floating-point warning from the overflow would reach stderr
             warnings.simplefilter("error")
-            code = main([*argv, "--Q0", "1", "--amplitude=-1.7976931348623157e308"])
+            # on the default record the line's peak amplitude is 6.4 times
+            # the state's, so at 1e308 it lies above the float range (a trace
+            # modulus beyond it: TestEvolve::test_overflow_is_reported_as_blowup)
+            code = main([*argv, "--Q0", "1", "--amplitude", "1e308"])
             captured = capsys.readouterr()
             assert code == 7
             assert captured.out == ""
             assert captured.err.count("\n") == 1
             err = json.loads(captured.err)
             assert err["error"] == "numerical-blowup"
-            assert "trace modulus" in err["message"]
+            assert "peak amplitude" in err["message"]
             assert not out.exists()
             # the step's factors stay finite at strong coupling, where this
             # short record has no line above the band
-            assert main([*argv, "--Q0", "1e120"]) == 5
+            assert main([*argv, "--steps", "64", "--Q0", "1e120"]) == 5
             captured = capsys.readouterr()
         assert captured.out == ""
         assert json.loads(captured.err)["error"] == "no-collective-peak"

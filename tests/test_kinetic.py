@@ -28,7 +28,7 @@ from zerosound import (
     spectral_peak,
     stability_bound,
 )
-from zerosound.kinetic import _block_size
+from zerosound.kinetic import _block_size, _padded_length
 
 
 def _reference_rule(n, digits=40):
@@ -422,13 +422,29 @@ class TestEvolve:
     @pytest.mark.parametrize("k", [-1060, -1000, -600, -1, 600, 1000])
     def test_power_of_two_scales_the_trace_exactly(self, k):
         # at k = -1060 the state is subnormal, and its trace is still the
-        # unit trace rounded once
+        # unit trace rounded once; the random complex state, with both mirror
+        # parts non-zero, has parts in multiples of 2^-6, so it stays exact there
         g = build_angular_grid(32)
-        ones = np.ones(32, dtype=np.complex128)
-        ref = evolve_initial_value(1.0, g, AngularState(ones), 0.05, 2048).samples
-        out = evolve_initial_value(1.0, g, AngularState(2.0**k * ones), 0.05, 2048).samples
-        expected = np.ldexp(ref.view(np.float64), k).view(np.complex128)
-        assert out.tobytes() == expected.tobytes()
+        rng = np.random.default_rng(5)
+        random = (rng.integers(-64, 65, 32) + 1j * rng.integers(-64, 65, 32)) / 64
+        for state in (np.ones(32, dtype=np.complex128), random):
+            ref = evolve_initial_value(1.0, g, AngularState(state), 0.05, 2048).samples
+            out = evolve_initial_value(1.0, g, AngularState(2.0**k * state), 0.05, 2048).samples
+            expected = np.ldexp(ref.view(np.float64), k).view(np.complex128)
+            assert out.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n", [32, 33])  # 33: the odd grid's mu = 0 node
+    def test_a_mirror_symmetric_state_has_a_real_trace(self, n):
+        # F(-mu) = conj F(mu) is one of the two parts the evolution splits a
+        # state into, and its <F> is real: the imaginary part is exactly 0,
+        # for the CLI's isotropic state and for a random state of that form
+        g = build_angular_grid(n)
+        rng = np.random.default_rng(n)
+        half = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        for state in (np.full(n, 0.7), half + np.conj(half[::-1])):
+            out = evolve_initial_value(2.0, g, AngularState(state), 0.03, 1000).samples
+            assert np.all(out.imag == 0.0)
+            assert np.any(out.real != 0.0)
 
     @pytest.mark.parametrize("n", [33, 128, 400])  # 33: the odd grid's mu = 0 node
     # 1e120 and the largest float: the factors, built from h L, stay O(1)
@@ -604,6 +620,18 @@ class TestSpectralPeak:
         with pytest.raises(InvalidArgumentError, match="no searchable band"):
             spectral_peak(_tone(0.5, 4096, 4.0))
 
+    def test_pads_to_the_smallest_5_smooth_length(self):
+        def smooth(m):
+            for p in (2, 3, 5):
+                while m % p == 0:
+                    m //= p
+            return m == 1
+        for n in [*range(64, 2100), 16385, MAX_STEPS + 1]:
+            n_pad = _padded_length(n)
+            assert smooth(n_pad) and n_pad >= 4 * n
+            assert not any(smooth(m) for m in range(4 * n, n_pad))
+        assert _padded_length(16385) == 65610  # 4 * 16385 = 2^2 5 29 113
+
     @given(n=st.integers(64, 4096), omega=st.floats(0.0, 1.0), dt=st.floats(0.01, 0.5),
            seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=200, deadline=None)
@@ -623,9 +651,10 @@ class TestSpectralPeak:
             peak = spectral_peak(TimeSeries(dt=dt, samples=x))
         except NoCollectivePeakError:
             return
-        # the grid maximum of the same 4x padded, Hann-windowed spectrum
-        mag = np.abs(np.fft.fft(np.conj(x * np.hanning(n)), n=4 * n))
-        d_omega = 2.0 * math.pi / (4 * n * dt)
+        # the grid maximum of the same padded, Hann-windowed spectrum
+        n_pad = _padded_length(n)
+        mag = np.abs(np.fft.fft(np.conj(x * np.hanning(n)), n=n_pad))
+        d_omega = 2.0 * math.pi / (n_pad * dt)
         k_min = int(math.floor(1.0 / d_omega)) + 1
-        j = k_min + int(np.argmax(mag[k_min : 2 * n]))
+        j = k_min + int(np.argmax(mag[k_min : n_pad // 2]))
         assert abs(peak.frequency - j * d_omega) <= (0.5 + 1e-12) * d_omega
