@@ -14,7 +14,6 @@ representable root.
 
 import math
 import sys
-from dataclasses import dataclass
 
 from ._roots import increasing_root
 from .errors import (
@@ -28,6 +27,7 @@ from .model import (
     DispersionPoint,
     InteractionModel,
     Method,
+    _record,
     _require_count,
     _require_finite,
     _require_positive,
@@ -58,7 +58,7 @@ MAX_SCAN_POINTS = 2**20
 _CLOSED_FORM_BELOW = 0.06
 
 
-@dataclass(frozen=True)
+@_record
 class SolverConfig:
     """Accuracy contract of the solver: every returned point has |residual| <= tolerance."""
 
@@ -96,8 +96,7 @@ def landau_kernel(S):
     u = S - 1 below, so no accuracy is lost on either side of the
     continuum edge or at large S where the log form cancels.
     """
-    if not math.isfinite(S):
-        raise InvalidArgumentError(f"S must be finite, got {S!r}")
+    S = _require_finite("S", S)
     if S <= 1.0:
         raise DomainError(f"kernel defined for S > 1 only, got {S!r}")
     if S >= 2.0:
@@ -166,7 +165,7 @@ def solve_zero_sound(coupling, config=None):
     supported coupling and ConvergenceError if no point meets the tolerance.
     """
     c = _positive_coupling(coupling)
-    tolerance = (config if config is not None else SolverConfig()).tolerance
+    tolerance = config.tolerance if config is not None else SolverConfig.tolerance
     if c.A < _CLOSED_FORM_BELOW:
         point = asymptotic_zero_sound(c)
         if abs(point.residual) <= tolerance:
@@ -242,7 +241,7 @@ def high_frequency_branch(Q0, k_lambda_d, mass_convention="effective", params=No
     return point
 
 
-@dataclass(frozen=True)
+@_record
 class GridSpec:
     """Wavenumber grid for a branch scan, in units of 1/lambda_d.
 
@@ -284,7 +283,7 @@ class GridSpec:
         return ks
 
 
-@dataclass(frozen=True)
+@_record
 class BranchScan:
     """Dispersion points over a wavenumber grid, in grid order.
 

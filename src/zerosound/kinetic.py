@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 from ._roots import increasing_root
 from .errors import (
@@ -33,7 +32,7 @@ from .errors import (
     NoUndampedRootError,
     NumericalBlowupError,
 )
-from .model import _require_count, _require_positive, as_coupling
+from .model import _record, _require_count, _require_finite, _require_positive, as_coupling
 
 __all__ = [
     "AngularGrid",
@@ -60,7 +59,7 @@ MAX_GRID_SIZE = 2**16
 MAX_STEPS = 2**24
 
 
-@dataclass(frozen=True)
+@_record
 class AngularGrid:
     """Quadrature nodes and weights on mu in [-1, 1]; checked, mirrored about 0, read-only."""
 
@@ -78,8 +77,7 @@ class AngularGrid:
             raise InvalidArgumentError("grid must be mirrored about mu = 0")
         if not (weights > 0.0).all():
             raise InvalidArgumentError("weights must be positive")
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
+        self.__dict__.update(nodes=nodes, weights=weights)
 
     @property
     def size(self):
@@ -173,8 +171,7 @@ def secular_sum(S, grid):
     no ordering in the grid size is promised.
     """
     import numpy as np
-    if not math.isfinite(S):
-        raise InvalidArgumentError(f"S must be finite, got {S!r}")
+    S = _require_finite("S", S)
     if abs(S) <= grid.nodes[-1]:
         raise DomainError(f"secular sum defined for |S| > mu_max only, got {S!r}")
     half = grid.size // 2  # an odd grid's node 0 adds nothing
@@ -226,17 +223,17 @@ def _finite_vector(name, values, dtype=complex):
     return values
 
 
-@dataclass(frozen=True)
+@_record
 class AngularState:
     """Distribution amplitude on the grid nodes at t = 0, where evolution starts."""
 
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _finite_vector("state values", self.values))
+        self.__dict__["values"] = _finite_vector("state values", self.values)
 
 
-@dataclass(frozen=True)
+@_record
 class TimeSeries:
     """Evenly sampled angular average <F>(t), first sample at t = 0."""
 
@@ -244,8 +241,9 @@ class TimeSeries:
     samples: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "dt", _require_positive("dt", self.dt))
-        object.__setattr__(self, "samples", _finite_vector("samples", self.samples))
+        values = self.__dict__
+        values["dt"] = _require_positive("dt", values["dt"])
+        values["samples"] = _finite_vector("samples", values["samples"])
 
     @property
     def times(self):
@@ -379,7 +377,7 @@ def evolve_initial_value(coupling, grid, initial, dt, steps):
     return TimeSeries(dt=dt, samples=_scale_back("trace modulus", trace, e))
 
 
-@dataclass(frozen=True)
+@_record
 class SpectralPeak:
     """Dominant line above the continuum band in a complex time series."""
 

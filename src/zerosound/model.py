@@ -12,7 +12,6 @@ de Broglie length at the Fermi surface.  Physical units enter only when a
 
 import math
 import operator
-from dataclasses import dataclass, replace
 from enum import Enum
 
 from .errors import InvalidArgumentError, IOFailureError
@@ -30,7 +29,13 @@ __all__ = [
 
 
 def _require_finite(name, value):
-    if not math.isfinite(value):
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int or Fraction beyond the float range
+        raise InvalidArgumentError(f"{name} must be finite, got a value beyond the float range") from None
+    except TypeError:  # a str, None or complex is not a real number
+        raise InvalidArgumentError(f"{name} must be a real number, got {value!r}") from None
+    if not finite:
         raise InvalidArgumentError(f"{name} must be finite, got {value!r}")
     return float(value)
 
@@ -62,7 +67,90 @@ def _require_count(name, value, least, ceiling_name=None, ceiling=None):
     return count
 
 
-@dataclass(frozen=True)
+def _record(cls):
+    """Make cls a frozen record of its annotated fields, as @dataclass(frozen=True) would.
+
+    The fields are the annotated names in order (the annotations themselves
+    are never evaluated), listed in __match_args__; a class attribute of the
+    same name is that field's default.  An instance takes its fields as
+    positional or keyword arguments and keeps them in its __dict__, where
+    __post_init__, if the class has one, may normalize them; it refuses
+    assignment and deletion, and compares, hashes and prints by exact type
+    and field values.
+    """
+    names = tuple(cls.__dict__.get("__annotations__", ()))
+    fields = frozenset(names)
+    defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
+    post_init = getattr(cls, "__post_init__", None)
+
+    def __init__(self, *args, **kwargs):
+        # a call with every value by keyword or every value by position binds
+        # here; any other call goes to _bind_fields, which raises if it must
+        values = self.__dict__
+        values.update(defaults)
+        values.update(zip(names, args) if args else kwargs)
+        if (args and (kwargs or len(args) > len(names))) or values.keys() != fields:
+            values.update(_bind_fields(cls.__qualname__, names, defaults, args, kwargs))
+        if post_init is not None:
+            post_init(self)
+
+    cls.__match_args__ = names
+    cls.__init__ = __init__
+    cls.__setattr__ = _refuse_assignment
+    cls.__delattr__ = _refuse_deletion
+    cls.__eq__ = _record_eq
+    cls.__hash__ = _record_hash
+    cls.__repr__ = _record_repr
+    return cls
+
+
+def _bind_fields(owner, names, defaults, args, kwargs):
+    # field values from positional values, keywords and defaults, bound as
+    # Python binds the arguments of a function with this signature
+    if len(args) > len(names):
+        raise TypeError(f"{owner}() takes {len(names)} positional arguments but {len(args)} were given")
+    values = dict(defaults)
+    values.update(zip(names, args))
+    for name, value in kwargs.items():
+        if name not in names:
+            raise TypeError(f"{owner}() got an unexpected keyword argument {name!r}")
+        if name in names[: len(args)]:
+            raise TypeError(f"{owner}() got multiple values for argument {name!r}")
+        values[name] = value
+    if len(values) != len(names):
+        missing = ", ".join(repr(name) for name in names if name not in values)
+        raise TypeError(f"{owner}() missing required arguments: {missing}")
+    return values
+
+
+def _field_values(record):
+    return tuple([getattr(record, name) for name in record.__match_args__])
+
+
+def _refuse_assignment(record, name, value):
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
+def _refuse_deletion(record, name):
+    raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _record_eq(record, other):
+    if other.__class__ is not record.__class__:
+        return NotImplemented
+    return _field_values(record) == _field_values(other)
+
+
+def _record_hash(record):
+    return hash(_field_values(record))
+
+
+def _record_repr(record):
+    fields = ", ".join([f"{name}={getattr(record, name)!r}" for name in record.__match_args__])
+    return f"{record.__class__.__qualname__}({fields})"
+
+
+@_record
 class FermiParameters:
     """Bare and effective masses plus Fermi-surface scales.
 
@@ -77,8 +165,9 @@ class FermiParameters:
     hbar: float = 1.0
 
     def __post_init__(self):
+        values = self.__dict__
         for name in ("m", "m_star", "p_F", "n0", "hbar"):
-            object.__setattr__(self, name, _require_positive(name, getattr(self, name)))
+            values[name] = _require_positive(name, values[name])
 
     @property
     def v_F(self):
@@ -95,17 +184,17 @@ class FermiParameters:
         return self.m_star / self.m
 
 
-@dataclass(frozen=True)
+@_record
 class InteractionModel:
     """Quasiparticle interaction reduced to its angular average Q0 >= 0."""
 
     Q0: float
 
     def __post_init__(self):
-        object.__setattr__(self, "Q0", _require_non_negative("Q0", self.Q0))
+        self.__dict__["Q0"] = _require_non_negative("Q0", self.Q0)
 
 
-@dataclass(frozen=True)
+@_record
 class CouplingStrength:
     """The dimensionless coupling A at one wavenumber.
 
@@ -118,9 +207,10 @@ class CouplingStrength:
     Q0: float
 
     def __post_init__(self):
-        object.__setattr__(self, "A", _require_finite("A", self.A))
-        object.__setattr__(self, "k_lambda_d", _require_finite("k_lambda_d", self.k_lambda_d))
-        object.__setattr__(self, "Q0", _require_finite("Q0", self.Q0))
+        values = self.__dict__
+        values["A"] = _require_finite("A", values["A"])
+        values["k_lambda_d"] = _require_finite("k_lambda_d", values["k_lambda_d"])
+        values["Q0"] = _require_finite("Q0", values["Q0"])
 
 
 def coupling_strength(model, k_lambda_d):
@@ -146,7 +236,7 @@ class Method(str, Enum):
     ASYMPTOTIC_HIGH_FREQUENCY = "asymptotic-high-frequency"
 
 
-@dataclass(frozen=True)
+@_record
 class DispersionPoint:
     """One solution of the dispersion problem at fixed (Q0, k lambda_d).
 
@@ -206,7 +296,8 @@ class DispersionPoint:
 
     def with_omega(self, params):
         """Attach the physical frequency for the given parameter set."""
-        return replace(self, omega=physical_frequency(self.S, self.k_lambda_d, params))
+        omega = physical_frequency(self.S, self.k_lambda_d, params)
+        return self.__class__(**{**self.__dict__, "omega": omega})
 
 
 def physical_frequency(S, k_lambda_d, params):

@@ -515,8 +515,8 @@ class TestRuntimeDependencies:
     def test_import_loads_no_numpy(self):
         probe = (
             "import sys, zerosound; "
-            "print(sorted(m for m in ('scipy', 'numba') if m in sys.modules), zerosound.BACKEND, "
-            "'numpy' in sys.modules)"
+            "print(sorted(m for m in ('scipy', 'numba', 'dataclasses', 'inspect') if m in sys.modules), "
+            "zerosound.BACKEND, 'numpy' in sys.modules)"
         )
         proc = run_python("-c", probe)
         assert proc.returncode == 0, proc.stderr
@@ -534,7 +534,10 @@ class TestRuntimeDependencies:
         argv = [arg.format(out=tmp_path / "trace.csv") for arg in argv]
         proc = run_python("-X", "importtime", "-m", "zerosound", *argv)
         assert proc.returncode == 0, proc.stderr
-        assert ("numpy" in _imported_modules(proc.stderr)) is numpy_loaded
+        imported = _imported_modules(proc.stderr)
+        assert ("numpy" in imported) is numpy_loaded
+        if not numpy_loaded:  # numpy itself may load dataclasses and inspect
+            assert not imported & {"dataclasses", "inspect"}
 
 
 def _tone(omega, n, dt):

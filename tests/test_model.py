@@ -1,20 +1,36 @@
-"""Parameter handling, coupling reduction, and point serialization."""
+"""Parameter handling, coupling reduction, point serialization and the records."""
 
+import copy
 import math
+import pickle
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from zerosound import (
+    AngularGrid,
+    AngularState,
+    BranchScan,
     CouplingStrength,
     DispersionPoint,
     FermiParameters,
+    GridSpec,
     InteractionModel,
     InvalidArgumentError,
     IOFailureError,
     Method,
+    SolverConfig,
+    SpectralPeak,
+    TimeSeries,
+    build_angular_grid,
     coupling_strength,
+    landau_kernel,
     load_parameter_file,
     physical_frequency,
+    secular_sum,
+    solve_zero_sound,
+    stability_bound,
 )
 
 
@@ -174,7 +190,112 @@ class TestDispersionPoint:
         assert p.S == 1.0  # the plain field cannot resolve the excess
         assert p.above_continuum
 
+    def test_with_omega_returns_a_new_point(self):
+        p = self._point()
+        q = p.with_omega(FermiParameters(p_F=2.0))
+        assert p.omega is None and q.omega == physical_frequency(p.S, p.k_lambda_d, FermiParameters(p_F=2.0))
+        assert {**q.to_json_dict(), "omega": None} == p.to_json_dict()
+
     def test_method_labels(self):
         assert Method.EXACT.value == "exact"
         assert Method.ASYMPTOTIC_ZERO_SOUND.value == "asymptotic-zero-sound"
         assert Method.ASYMPTOTIC_HIGH_FREQUENCY.value == "asymptotic-high-frequency"
+
+
+@pytest.mark.parametrize("value", [10**400, Fraction(10**400), "1", None, 1 + 0j],
+                         ids=["huge-int", "huge-fraction", "str", "None", "complex"])
+@pytest.mark.parametrize("call, knob", [
+    (solve_zero_sound, "A"),
+    (InteractionModel, "Q0"),
+    (lambda value: GridSpec(k_min=1, k_max=value, count=3), "k_max"),
+    (SolverConfig, "tolerance"),
+    (stability_bound, "A"),
+    (landau_kernel, "S"),
+    (lambda value: secular_sum(value, build_angular_grid(4)), "S"),
+], ids=["solve_zero_sound", "InteractionModel", "GridSpec", "SolverConfig", "stability_bound",
+        "landau_kernel", "secular_sum"])
+def test_numbers_beyond_the_float_range_or_not_real_are_labeled(call, knob, value):
+    # Python's own OverflowError or TypeError must not escape unlabeled, and
+    # a string must not be read as a number
+    with pytest.raises(InvalidArgumentError, match=f"^{knob} must be "):
+        call(value)
+
+
+# every record type: field values, other field values, the repr of the
+# first set (as @dataclass(frozen=True) printed it), and the defaults
+RECORDS = [
+    (FermiParameters, (1.0, 1.0, 1.0, 1.0, 1.0), (2.0, 1.0, 1.0, 1.0, 1.0),
+     "FermiParameters(m=1.0, m_star=1.0, p_F=1.0, n0=1.0, hbar=1.0)",
+     {"m": 1.0, "m_star": 1.0, "p_F": 1.0, "n0": 1.0, "hbar": 1.0}),
+    (InteractionModel, (0.5,), (0.25,), "InteractionModel(Q0=0.5)", {}),
+    (CouplingStrength, (1.25, 1.0, 0.5), (1.25, 1.0, 0.25),
+     "CouplingStrength(A=1.25, k_lambda_d=1.0, Q0=0.5)", {}),
+    (DispersionPoint, (0.0, 1.0, 1.0, 1.5, 0.5, None, Method.EXACT, None, 2.5),
+     (0.0, 1.0, 1.0, 1.5, 0.5, None, Method.EXACT, None, 3.5),
+     "DispersionPoint(k_lambda_d=0.0, Q0=1.0, A=1.0, S=1.5, S_minus_1=0.5, log_excess=None, "
+     "method=<Method.EXACT: 'exact'>, residual=None, omega=2.5)",
+     {"omega": None}),
+    (SolverConfig, (1e-12,), (1e-10,), "SolverConfig(tolerance=1e-12)", {"tolerance": 1e-12}),
+    (GridSpec, (0.1, 1.0, 3, "log"), (0.1, 1.0, 4, "log"),
+     "GridSpec(k_min=0.1, k_max=1.0, count=3, spacing='log')", {"spacing": "linear"}),
+    (BranchScan, (GridSpec(0.1, 1.0, 3), (), ((2.0, "no-undamped-root"),)),
+     (GridSpec(0.1, 1.0, 3), (), ()),
+     "BranchScan(grid=GridSpec(k_min=0.1, k_max=1.0, count=3, spacing='linear'), points=(), "
+     "failures=((2.0, 'no-undamped-root'),))",
+     {"failures": ()}),
+    # one-element arrays, so == between two copies has a truth value
+    (AngularGrid, (np.array([0.0]), np.array([2.0])), (np.array([0.0]), np.array([1.0])),
+     "AngularGrid(nodes=array([0.]), weights=array([2.]))", {}),
+    (AngularState, (np.array([1.0]),), (np.array([2.0]),), "AngularState(values=array([1.+0.j]))", {}),
+    (TimeSeries, (0.5, np.array([1j])), (0.25, np.array([1j])),
+     "TimeSeries(dt=0.5, samples=array([0.+1.j]))", {}),
+    (SpectralPeak, (1.5, 2.0, 0.25), (1.5, 2.0, 0.5),
+     "SpectralPeak(frequency=1.5, amplitude=2.0, bin_width=0.25)", {}),
+]
+
+
+@pytest.mark.parametrize("cls, values, other, text, defaults", RECORDS,
+                         ids=[row[0].__name__ for row in RECORDS])
+def test_record(cls, values, other, text, defaults):
+    names = cls.__match_args__
+    record = cls(*values)
+    assert record == cls(**dict(zip(names, values)))
+    assert repr(record) == text
+
+    required = len(names) - len(defaults)
+    assert list(defaults) == list(names[required:])
+    for name, value in defaults.items():
+        assert getattr(cls, name) == value  # a class attribute, as in the class body
+        assert getattr(cls(*values[:required]), name) == value
+
+    for bad_call in (
+        lambda: cls(*values, values[-1]),  # a value too many
+        lambda: cls(*values, unknown=1),
+        lambda: cls(*values, **{names[0]: values[0]}),  # a field given twice
+        lambda: cls(**dict(zip(names[1:], values[1:])), unknown=values[0]),  # one unknown for one missing
+    ):
+        with pytest.raises(TypeError):
+            bad_call()
+    if required:
+        with pytest.raises(TypeError, match="missing"):
+            cls(*values[: required - 1])
+
+    for clone in (record, pickle.loads(pickle.dumps(record)), copy.copy(record)):
+        assert type(clone) is cls and clone == record and repr(clone) == text
+        with pytest.raises(AttributeError):
+            setattr(clone, names[0], values[0])
+        with pytest.raises(AttributeError):
+            delattr(clone, names[0])
+        with pytest.raises(AttributeError):
+            clone.unknown = 1
+
+    # equal by exact type and every field value
+    assert record != cls(*other)
+    assert record != type("Copy", (cls,), {})(*values)
+    assert record != values
+    if any(isinstance(value, np.ndarray) for value in values):
+        with pytest.raises(TypeError):
+            hash(record)  # an array field is unhashable
+    else:
+        assert hash(record) == hash(cls(*values))
+        assert len({record, cls(*values)}) == 1
