@@ -12,6 +12,8 @@ the problem is smooth and every representable coupling keeps a
 representable root.
 """
 
+from __future__ import annotations
+
 import math
 import sys
 

@@ -10,6 +10,8 @@ de Broglie length at the Fermi surface.  Physical units enter only when a
 :class:`FermiParameters` set is supplied to convert S back to a frequency.
 """
 
+from __future__ import annotations
+
 import math
 import operator
 from enum import Enum
@@ -77,20 +79,32 @@ def _record(cls):
     __post_init__, if the class has one, may normalize them; it refuses
     assignment and deletion, and compares, hashes and prints by exact type
     and field values.
+
+    A module that defines records imports annotations from __future__: that
+    keeps __annotations__ a dict of strings in the class body on every Python
+    version, where from 3.14 on it would otherwise be built lazily elsewhere.
     """
     names = tuple(cls.__dict__.get("__annotations__", ()))
+    if not names:
+        raise TypeError(f"{cls.__qualname__} has no annotated fields")
     fields = frozenset(names)
     defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
     post_init = getattr(cls, "__post_init__", None)
 
     def __init__(self, *args, **kwargs):
-        # a call with every value by keyword or every value by position binds
-        # here; any other call goes to _bind_fields, which raises if it must
         values = self.__dict__
         values.update(defaults)
-        values.update(zip(names, args) if args else kwargs)
-        if (args and (kwargs or len(args) > len(names))) or values.keys() != fields:
-            values.update(_bind_fields(cls.__qualname__, names, defaults, args, kwargs))
+        if args:
+            values.update(zip(names, args))
+        values.update(kwargs)
+        if values.keys() != fields or (
+            args and (len(args) > len(names) or kwargs and not kwargs.keys().isdisjoint(names[: len(args)]))
+        ):
+            missing = ", ".join([name for name in names if name not in values])
+            raise TypeError(
+                f"{cls.__qualname__}() takes the fields ({', '.join(names)}), got {len(args)} positional"
+                f" values and the keywords ({', '.join(kwargs)})" + (f"; missing {missing}" if missing else "")
+            )
         if post_init is not None:
             post_init(self)
 
@@ -102,25 +116,6 @@ def _record(cls):
     cls.__hash__ = _record_hash
     cls.__repr__ = _record_repr
     return cls
-
-
-def _bind_fields(owner, names, defaults, args, kwargs):
-    # field values from positional values, keywords and defaults, bound as
-    # Python binds the arguments of a function with this signature
-    if len(args) > len(names):
-        raise TypeError(f"{owner}() takes {len(names)} positional arguments but {len(args)} were given")
-    values = dict(defaults)
-    values.update(zip(names, args))
-    for name, value in kwargs.items():
-        if name not in names:
-            raise TypeError(f"{owner}() got an unexpected keyword argument {name!r}")
-        if name in names[: len(args)]:
-            raise TypeError(f"{owner}() got multiple values for argument {name!r}")
-        values[name] = value
-    if len(values) != len(names):
-        missing = ", ".join(repr(name) for name in names if name not in values)
-        raise TypeError(f"{owner}() missing required arguments: {missing}")
-    return values
 
 
 def _field_values(record):

@@ -32,6 +32,7 @@ from zerosound import (
     solve_zero_sound,
     stability_bound,
 )
+from zerosound.model import _record
 
 
 class TestFermiParameters:
@@ -277,7 +278,7 @@ def test_record(cls, values, other, text, defaults):
         with pytest.raises(TypeError):
             bad_call()
     if required:
-        with pytest.raises(TypeError, match="missing"):
+        with pytest.raises(TypeError, match=f"^{cls.__name__}\\(\\) takes the fields .*; missing {names[required - 1]}$"):
             cls(*values[: required - 1])
 
     for clone in (record, pickle.loads(pickle.dumps(record)), copy.copy(record)):
@@ -299,3 +300,10 @@ def test_record(cls, values, other, text, defaults):
     else:
         assert hash(record) == hash(cls(*values))
         assert len({record, cls(*values)}) == 1
+
+
+def test_record_needs_annotated_fields():
+    with pytest.raises(TypeError, match="Empty has no annotated fields"):
+        @_record
+        class Empty:
+            value = 1.0

@@ -94,6 +94,24 @@ def test_no_module_imports_numpy_dataclasses_or_inspect_when_loaded():
         assert not imported & NOT_IMPORTED_AT_LOAD, path.name
 
 
+def test_each_module_with_records_keeps_its_annotations_as_strings():
+    # model._record reads the field names from the class body's
+    # __annotations__; from Python 3.14 on, a module without this future
+    # import has none there, and its records would have no fields
+    paths = sorted(Path(zerosound.__file__).parent.glob("*.py"))
+    with_records = set()
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if any(isinstance(decorator, ast.Name) and decorator.id == "_record"
+               for node in tree.body if isinstance(node, ast.ClassDef)
+               for decorator in node.decorator_list):
+            with_records.add(path.name)
+            assert any(isinstance(node, ast.ImportFrom) and node.module == "__future__"
+                       and {alias.name for alias in node.names} == {"annotations"}
+                       for node in tree.body), path.name
+    assert with_records == {"model.py", "dispersion.py", "kinetic.py"}
+
+
 def test_no_floating_point_warning_is_suppressed():
     # every warning is an error under pytest, so a suppressed overflow or
     # invalid operation would hide a result outside the float range
