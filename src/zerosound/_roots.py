@@ -1,9 +1,9 @@
-"""Bracketed root-finding shared by the exact solver and the matrix oracle.
+"""Safeguarded Newton search shared by the exact solver and the matrix oracle.
 
 Both solvers look for the single sign change of an increasing function of
 a logarithmic variable: v = ln(S - 1) for the dispersion relation,
 w = ln(S - mu_max) for the secular equation.  Only this generic search is
-shared; each caller evaluates its own function.
+shared; each caller evaluates its own function and its slope.
 """
 
 import math
@@ -11,87 +11,71 @@ import sys
 
 from .errors import ConvergenceError
 
-# outward bracket steps in the log variable: e^-4 toward the edge, e^1 away
+# outward pushes in the log variable while one side is unknown: e^-4 toward
+# the edge, e^1 away, or |x| 2^-20 where larger, as rounding absorbs a fixed step
 _STEP_DOWN = 4.0
 _STEP_UP = 1.0
-# at large |x| a fixed step is absorbed by rounding; grow it with |x|
 _RELATIVE_STEP = 2.0**-20
 _MAX_EXPANSIONS = 60
-_MAX_EVALUATIONS = 200  # after bracketing; an exact root takes about 11
+_MAX_EVALUATIONS = 200  # after bracketing; an exact root takes about 5 in all
 # stop once the bracket's half-width is below 0.5 * (_WIDTH + _RELATIVE_WIDTH |x|)
 _WIDTH = 1e-15
 _RELATIVE_WIDTH = 4.0 * sys.float_info.epsilon
 
 
-def _push(x, step):
-    # move x outward by step, or by |x| 2^-20 where larger; stay finite
-    x += math.copysign(max(abs(step), abs(x) * _RELATIVE_STEP), step)
-    return min(max(x, -sys.float_info.max), sys.float_info.max)
+def increasing_root(f, x, what):
+    """Root of an increasing function from the estimate x; f(x) returns (f, df/dx).
 
-
-def increasing_root(f, lo, hi, what):
-    """Root of an increasing function f from the starting bracket [lo, hi].
-
-    The ends are pushed outward until f(lo) < 0 < f(hi), at most 60 times
-    each.  Brent's method (Brent 1973, ch. 4) then narrows the bracket by
-    inverse quadratic or secant steps, bisecting whenever a step would not
-    shrink it fast enough, until its half-width is below
-    0.5 * (1e-15 + 4 eps |x|), f(x) is 0, or 200 evaluations of f are
-    spent.  Returns (x, f(x), (lo, hi)), where x is the end of the
-    final bracket with the smaller |f|; the caller judges whether that is
-    good enough.  Raises ConvergenceError, naming `what`, if no sign
-    change is found.
+    Newton steps (Press et al., Numerical Recipes, sec. 9.4), each at least
+    1.5 tol long, where tol = 0.5 * (1e-15 + 4 eps |x|): a step that short
+    crosses a root it aims at and leaves a bracket under 2 tol wide.  While
+    one side of the root is unknown, a step from a point where f has not
+    changed since the last (flat to rounding, where Newton steps stall) is
+    twice the last step, and a step that is not finite or does not land
+    between x and the outward push from x is the push; 60 such steps at
+    most.  Once f(lo) < 0 < f(hi), the search bisects whenever a Newton step
+    leaves the bracket, is not finite, or is not under half the step before
+    last.  It stops when the bracket's half-width is below tol, f(x) is 0,
+    or 200 evaluations of f after bracketing are spent.  Returns (x, f(x),
+    (lo, hi)), where x is the end of the final bracket with the smaller |f|;
+    the caller judges whether that is good enough.  Raises ConvergenceError,
+    naming `what`, if no sign change is found; its bracket then has an
+    infinite end.
     """
-    r_lo = f(lo)
-    r_hi = f(hi)
-    guard = 0
-    while r_lo >= 0.0:
-        lo = _push(lo, -_STEP_DOWN)
-        r_lo = f(lo)
-        guard += 1
-        if guard > _MAX_EXPANSIONS:
-            raise ConvergenceError(f"no sign change below {lo!r} in {what}", (lo, hi))
-    guard = 0
-    while r_hi <= 0.0:
-        hi = _push(hi, _STEP_UP)
-        r_hi = f(hi)
-        guard += 1
-        if guard > _MAX_EXPANSIONS:
-            raise ConvergenceError(f"no sign change above {hi!r} in {what}", (lo, hi))
-
-    # cur is the best estimate, blk the other end of the bracket, pre the
-    # previous cur; s_cur and s_pre are the last two steps taken
-    x_pre, r_pre, x_cur, r_cur = lo, r_lo, hi, r_hi
-    evaluations = 0
-    while True:
-        if (r_pre < 0.0) != (r_cur < 0.0):
-            x_blk, r_blk = x_pre, r_pre
-            s_pre = s_cur = x_cur - x_pre
-        if abs(r_blk) < abs(r_cur):
-            x_pre, r_pre = x_cur, r_cur
-            x_cur, r_cur, x_blk, r_blk = x_blk, r_blk, x_cur, r_cur
-        tol = 0.5 * (_WIDTH + _RELATIVE_WIDTH * abs(x_cur))
-        s_bis = 0.5 * x_blk - 0.5 * x_cur  # halved first, so it cannot overflow
-        if r_cur == 0.0 or abs(s_bis) <= tol or evaluations == _MAX_EVALUATIONS:
-            break
-        s_try = math.nan  # bisect unless an interpolation step qualifies
-        if abs(s_pre) > tol and abs(r_cur) < abs(r_pre):
-            if x_pre == x_blk:  # secant
-                s_try = -r_cur * (x_cur - x_pre) / (r_cur - r_pre)
-            else:  # inverse quadratic through pre, cur and blk
-                d_pre = (r_pre - r_cur) / (x_pre - x_cur)
-                d_blk = (r_blk - r_cur) / (x_blk - x_cur)
-                denominator = d_blk * d_pre * (r_blk - r_pre)
-                if denominator:  # 0 where f is flat to rounding
-                    s_try = -r_cur * (r_blk * d_blk - r_pre * d_pre) / denominator
-        # an interpolation step must point into the bracket and be under half
-        # the step before last; a nan or inf s_try fails these tests
-        if 0.0 < s_try / s_bis and 2.0 * abs(s_try) < min(abs(s_pre), 3.0 * abs(s_bis) - tol):
-            s_pre, s_cur = s_cur, s_try
+    lo, hi, f_lo, f_hi = -math.inf, math.inf, None, None
+    last = before_last = math.inf  # lengths of the last two steps
+    expansions = evaluations = 0
+    y, r_old = f(x), math.nan
+    while y[0] != 0.0:
+        r, slope = y
+        if r < 0.0:
+            lo, f_lo = x, y
         else:
-            s_pre = s_cur = s_bis
-        x_pre, r_pre = x_cur, r_cur
-        x_cur += s_cur if abs(s_cur) > tol else math.copysign(tol, s_bis)
-        r_cur = f(x_cur)
-        evaluations += 1
-    return x_cur, r_cur, (min(x_cur, x_blk), max(x_cur, x_blk))
+            hi, f_hi = x, y
+        tol = 0.5 * (_WIDTH + _RELATIVE_WIDTH * abs(x))
+        s = -r / slope if slope > 0.0 else math.nan
+        if abs(s) <= tol:  # false for nan
+            s = math.copysign(1.5 * tol, s)
+        # each comparison below is false for a nan or infinite step
+        if -math.inf < lo and hi < math.inf:
+            if 0.5 * hi - 0.5 * lo <= tol or evaluations == _MAX_EVALUATIONS:
+                return (lo, f_lo, (lo, hi)) if abs(f_lo[0]) < abs(f_hi[0]) else (hi, f_hi, (lo, hi))
+            evaluations += 1
+            # a bisection is halved first, so it cannot overflow
+            x_new = x + s if lo < x + s < hi and 2.0 * abs(s) < before_last else 0.5 * lo + 0.5 * hi
+        elif expansions == _MAX_EXPANSIONS:
+            side = "above" if r < 0.0 else "below"
+            raise ConvergenceError(f"no sign change {side} {x!r} in {what}", (lo, hi))
+        else:
+            expansions += 1
+            push = max(_STEP_UP if r < 0.0 else _STEP_DOWN, abs(x) * _RELATIVE_STEP)
+            push = push if r < 0.0 else -push
+            if r == r_old:
+                s = math.copysign(2.0 * last, push)
+            x_new = x + s
+            if not 0.0 < s / push <= 1.0:  # the push, kept finite at the ends of the float range
+                x_new = min(max(x + push, -sys.float_info.max), sys.float_info.max)
+        before_last, last, r_old = last, abs(x_new - x), r
+        x = x_new
+        y = f(x)
+    return x, y, (x, x)

@@ -70,25 +70,29 @@ class SolverConfig:
         _require_positive("tolerance", self.tolerance)
 
 
-def _kernel_series(S):
-    # F = sum_{j>=1} S^{-2j} / (2j + 1); converges fast for S >= 2
+def _kernel_series(S, a=1.0):
+    # a F = sum_{j>=1} a S^-2j / (2j + 1) and -a dF/d(ln S), the same with 2j
+    # times each term; fast for S >= 2, and a S^-2 stays normal for every float A
     t2 = 1.0 / (S * S)
-    power = t2
+    power = a / S / S
     total = power / 3.0
+    slope = 2.0 * total
     j = 2
     while True:
         power *= t2
         term = power / (2 * j + 1)
         new_total = total + term
         if new_total == total:
-            return total
+            return total, slope
         total = new_total
+        slope += 2 * j * term
         j += 1
 
 
 def _kernel_near_edge(u, ln_u):
-    # F(1 + u) from the excess u and its log, which stays exact when u underflows
-    return 0.5 * (1.0 + u) * (math.log1p(1.0 + u) - ln_u) - 1.0
+    # F(1 + u) and -dF/d(ln u) from u and its log, which stays exact when u underflows
+    log_ratio = math.log1p(1.0 + u) - ln_u
+    return 0.5 * (1.0 + u) * log_ratio - 1.0, (1.0 + u) / (2.0 + u) - 0.5 * u * log_ratio
 
 
 def landau_kernel(S):
@@ -102,9 +106,9 @@ def landau_kernel(S):
     if S <= 1.0:
         raise DomainError(f"kernel defined for S > 1 only, got {S!r}")
     if S >= 2.0:
-        return _kernel_series(S)
+        return _kernel_series(S)[0]
     u = S - 1.0  # exact: S in (1, 2)
-    return _kernel_near_edge(u, math.log(u))
+    return _kernel_near_edge(u, math.log(u))[0]
 
 
 def dispersion_residual(S, coupling):
@@ -114,11 +118,19 @@ def dispersion_residual(S, coupling):
 
 
 def _residual_log(v, a):
-    # residual as a function of v = ln(S - 1); increasing in v
+    # residual and its slope in v = ln(S - 1), increasing in v; for v < 0 taken
+    # from u = e^v and v, stable down to v ~ -1e308, where u underflows to 0
+    u = math.exp(v)
     if v >= 0.0:
-        return 1.0 - a * _kernel_series(1.0 + math.exp(v))
-    # F(1 + e^v) for v < 0, stable down to v ~ -1e308; exp may underflow to 0
-    return 1.0 - a * _kernel_near_edge(math.exp(v), v)
+        total, slope = _kernel_series(1.0 + u, a)
+        return 1.0 - total, slope * u / (1.0 + u)
+    kernel, slope = _kernel_near_edge(u, v)
+    return 1.0 - a * kernel, a * slope
+
+
+def _point(c, S, excess, log_excess, method, residual):
+    return DispersionPoint(k_lambda_d=c.k_lambda_d, Q0=c.Q0, A=c.A, S=S, S_minus_1=excess,
+                           log_excess=log_excess, method=method, residual=residual)
 
 
 def _positive_coupling(coupling):
@@ -145,16 +157,7 @@ def asymptotic_zero_sound(coupling):
     exponent = -2.0 - 2.0 / c.A
     excess = 2.0 * math.exp(exponent)
     v = _LN2 + exponent
-    return DispersionPoint(
-        k_lambda_d=c.k_lambda_d,
-        Q0=c.Q0,
-        A=c.A,
-        S=1.0 + excess,
-        S_minus_1=excess,
-        log_excess=v,
-        method=Method.ASYMPTOTIC_ZERO_SOUND,
-        residual=_residual_log(v, c.A),
-    )
+    return _point(c, 1.0 + excess, excess, v, Method.ASYMPTOTIC_ZERO_SOUND, _residual_log(v, c.A)[0])
 
 
 def solve_zero_sound(coupling, config=None):
@@ -162,7 +165,8 @@ def solve_zero_sound(coupling, config=None):
 
     Below A = 0.06 the closed form asymptotic_zero_sound is returned if its
     residual meets the tolerance (at the default 1e-12 it always does);
-    otherwise Brent's method runs on v = ln(S - 1).  Raises
+    otherwise a Newton-bisection search runs on v = ln(S - 1), with one
+    last Newton step taken on S itself where S >= 2.  Raises
     NoUndampedRootError for A <= 0, InvalidArgumentError below the smallest
     supported coupling and ConvergenceError if no point meets the tolerance.
     """
@@ -176,34 +180,28 @@ def solve_zero_sound(coupling, config=None):
 
 
 def _exact_zero_sound(coupling, tolerance=SolverConfig.tolerance):
-    # Brent's method on v = ln(S - 1) to half-width 0.5 (1e-15 + 4 eps |v|),
-    # about 11 residuals per root for A in [0.06, 1e3]; the bracket steps
-    # grow with |v|, so it solves every supported coupling
+    # Newton-bisection on v = ln(S - 1), about 5 residuals per root for A in
+    # [0.06, 1e3]; its pushes grow with |v|, so it solves every supported A
     c = _positive_coupling(coupling)
     a = c.A
-    # lower end: one unit below the weak-coupling estimate of v
-    v_lo = (_LN2 - 2.0 - 2.0 / a) - 1.0
-    # upper end: past the strong-coupling estimate S ~ 2 sqrt(A/3)
-    v_hi = math.log(max(10.0, 2.0 * math.sqrt(a / 3.0) + 2.0) - 1.0)
-    v_best, r_best, bracket = increasing_root(
-        lambda v: _residual_log(v, a), v_lo, v_hi, f"ln(S - 1) at A = {a!r}"
+    # start from the larger of two low estimates of v: the weak-coupling closed
+    # form, and S^2 = 1/x from the series' first two terms, x/3 + x^2/5 = 1/A
+    S = math.sqrt(a / 6.0 + math.sqrt(a / 6.0) * math.sqrt((a + 7.2) / 6.0))
+    v = max(_LN2 - 2.0 - 2.0 / a, math.log(S - 1.0) if S > 1.0 else -math.inf)
+    v, (residual, slope), bracket = increasing_root(
+        lambda v: _residual_log(v, a), v, f"ln(S - 1) at A = {a!r}"
     )
-    if not abs(r_best) <= tolerance:
-        raise ConvergenceError(
-            f"residual {r_best!r} above tolerance {tolerance!r} for A = {a!r}",
-            bracket,
-        )
-    u = math.exp(v_best)  # may underflow; S then rounds to the band edge
-    return DispersionPoint(
-        k_lambda_d=c.k_lambda_d,
-        Q0=c.Q0,
-        A=c.A,
-        S=1.0 + u,
-        S_minus_1=u,
-        log_excess=v_best,
-        method=Method.EXACT,
-        residual=r_best,
-    )
+    u = math.exp(v)  # may underflow; S then rounds to the band edge
+    S = 1.0 + u
+    if S >= 2.0:
+        # v holds S to one ulp of v only: a last Newton step, taken on S with
+        # dS = u dv (dr/dS itself underflows from A ~ 1e230), resolves S to rounding
+        S -= u * (residual / slope)
+        residual, u = 1.0 - _kernel_series(S, a)[0], S - 1.0
+        v = math.log(u)
+    if not abs(residual) <= tolerance:
+        raise ConvergenceError(f"residual {residual!r} above tolerance {tolerance!r} for A = {a!r}", bracket)
+    return _point(c, S, u, v, Method.EXACT, residual)
 
 
 def high_frequency_branch(Q0, k_lambda_d, mass_convention="effective", params=None):
@@ -228,16 +226,8 @@ def high_frequency_branch(Q0, k_lambda_d, mass_convention="effective", params=No
     S = math.sqrt(c.Q0 / 3.0 + 0.25 * c.k_lambda_d**2 * factor)
     excess = S - 1.0
     residual = dispersion_residual(S, c) if S > 1.0 else None
-    point = DispersionPoint(
-        k_lambda_d=c.k_lambda_d,
-        Q0=c.Q0,
-        A=c.A,
-        S=S,
-        S_minus_1=excess,
-        log_excess=math.log(excess) if excess > 0.0 else None,
-        method=Method.ASYMPTOTIC_HIGH_FREQUENCY,
-        residual=residual,
-    )
+    log_excess = math.log(excess) if excess > 0.0 else None
+    point = _point(c, S, excess, log_excess, Method.ASYMPTOTIC_HIGH_FREQUENCY, residual)
     if params is not None:
         point = point.with_omega(params)
     return point

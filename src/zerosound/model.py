@@ -223,6 +223,18 @@ def as_coupling(value):
     return CouplingStrength(A=value, k_lambda_d=0.0, Q0=value)
 
 
+_JSON_NUMBERS = ("k_lambda_d", "Q0", "A", "S", "S_minus_1", "log_excess", "residual")
+
+
+def _json_number(value):
+    # a JSON number or null, or the text the CLI writes for a non-finite float
+    if value is None:
+        return None
+    if isinstance(value, bool) or not (isinstance(value, (int, float)) or value in ("nan", "inf", "-inf")):
+        raise TypeError(f"{value!r} is not a number")
+    return float(value)
+
+
 class Method(str, Enum):
     """Which branch or approximation produced a dispersion point."""
 
@@ -274,19 +286,20 @@ class DispersionPoint:
 
     @classmethod
     def from_json_dict(cls, data):
+        """Read a record as the CLI writes it, else raise InvalidArgumentError.
+
+        Numbers are JSON numbers or the CLI's text "nan", "inf" and "-inf";
+        k_lambda_d, Q0, A and S are finite, S_minus_1 >= 0 given a log_excess.
+        """
         try:
-            return cls(
-                k_lambda_d=float(data["k_lambda_d"]),
-                Q0=float(data["Q0"]),
-                A=float(data["A"]),
-                S=float(data["S"]),
-                S_minus_1=float(data["S_minus_1"]),
-                log_excess=None if data["log_excess"] is None else float(data["log_excess"]),
-                method=Method(data["method"]),
-                residual=None if data["residual"] is None else float(data["residual"]),
-                omega=None if data.get("omega") is None else float(data["omega"]),
-            )
-        except (KeyError, ValueError, TypeError) as exc:
+            values = {key: _json_number(data[key]) for key in _JSON_NUMBERS}
+            values["omega"] = _json_number(data.get("omega"))
+            for key in ("k_lambda_d", "Q0", "A", "S"):
+                _require_finite(key, values[key])
+            if not (values["S_minus_1"] >= 0.0 or values["log_excess"] is None):
+                raise ValueError(f"S_minus_1 must be >= 0 with a log_excess, got {values['S_minus_1']!r}")
+            return cls(**values, method=Method(data["method"]))
+        except (KeyError, ValueError, TypeError, OverflowError) as exc:
             raise InvalidArgumentError(f"malformed dispersion point record: {exc}") from exc
 
     def with_omega(self, params):

@@ -55,6 +55,11 @@ class TestSolve:
         assert data["S_minus_1"] == pytest.approx(4.1742570659665503e-117, rel=1e-14)
         assert data["log_excess"] < -200.0
 
+    def test_readme_sample_is_the_output(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        sample = readme.split("`solve` prints one JSON object:\n\n```\n", 1)[1].split("```", 1)[0]
+        assert _main(["solve", "--Q0", "1"]) == (0, sample, "")
+
     def test_round_trip_is_lossless(self, capsys):
         main(["solve", "--Q0", "3", "--k-lambda", "0.7"])
         recovered = DispersionPoint.from_json_dict(json.loads(capsys.readouterr().out))
@@ -108,8 +113,8 @@ class TestSolve:
         assert (data["method"], data["residual"]) == ("exact", 0.0)
         assert main(["solve", "--Q0", "0.0598"]) == 0
         assert json.loads(capsys.readouterr().out)["method"] == "asymptotic-zero-sound"
-        # no point meets 1e-300 at A = 0.5
-        assert main(["solve", "--Q0", "0.5", "--tol", "1e-300"]) == 4
+        # no point meets 1e-300 at A = 0.7 (the root's residual is -4.4e-16)
+        assert main(["solve", "--Q0", "0.7", "--tol", "1e-300"]) == 4
         assert json.loads(capsys.readouterr().err)["error"] == "convergence"
 
     def test_control_characters_in_a_path_are_escaped(self, tmp_path):

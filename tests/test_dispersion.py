@@ -2,11 +2,12 @@
 
 Reference values were computed independently with 50-digit arithmetic:
 the kernel from its closed form, the roots by bisection on ln(S - 1) of
-the dispersion relation.  They are frozen here as literals.  The solver
-under test uses Brent's method from the shared root-finder in _roots;
-that root-finder is also checked on its own, on residuals that defeat
-its interpolation steps, and its residual count per exact root is
-bounded so that a slower search shows as a failure.
+the dispersion relation.  They are frozen here as literals; the largest
+couplings are checked against mpmath roots instead.  The solver under
+test takes Newton steps from the shared root-finder in _roots; that
+root-finder is also checked on its own, on functions that defeat its
+Newton steps, and its residual count per exact root is bounded so that a
+slower search shows as a failure.
 """
 
 import math
@@ -39,6 +40,24 @@ from zerosound import (
 from zerosound import _roots, dispersion
 from zerosound._roots import increasing_root
 from zerosound.dispersion import _exact_zero_sound
+
+
+def _mpmath_root(a, v_start):
+    """(v, S) of the root of 1 = A F(S) with v = ln(S - 1), from mpmath.
+
+    50 digits beyond the cancellation in S atanh(1/S) - 1 ~ 1/(3 S^2), and
+    F = ((1 + u)/2) (ln(2 + u) - v) - 1 near the edge, exact in v."""
+    import mpmath
+
+    with mpmath.workdps(50 + 2 * max(0, int(math.log10(a)))):
+        def kernel(v):
+            u = mpmath.exp(v)
+            if u < 1:
+                return (1 + u) / 2 * (mpmath.log(2 + u) - v) - 1
+            return (1 + u) * mpmath.atanh(1 / (1 + u)) - 1
+
+        v = mpmath.findroot(lambda v: 1 - mpmath.mpf(a) * kernel(v), mpmath.mpf(v_start))
+        return float(v), float(1 + mpmath.exp(v))
 
 # F(S) at fixed abscissae, 50-digit evaluation rounded to double
 KERNEL_REFERENCE = {
@@ -163,8 +182,9 @@ class TestSolveZeroSound:
         assert point == _exact_zero_sound(0.0598, 1e-16)
         assert point.method is Method.EXACT and point.residual == 0.0
         # where neither meets the tolerance, the error is labeled
+        assert solve_zero_sound(0.7).residual == -4.440892098500626e-16
         with pytest.raises(ConvergenceError):
-            solve_zero_sound(0.5, SolverConfig(tolerance=1e-300))
+            solve_zero_sound(0.7, SolverConfig(tolerance=1e-300))
 
     def test_accepts_coupling_objects(self):
         c = coupling_strength(InteractionModel(1.0), 0.0)
@@ -201,22 +221,45 @@ class TestSolveZeroSound:
                 solve_zero_sound(a)
 
     def test_starved_iteration_budget_reports_bracket(self, monkeypatch):
-        monkeypatch.setattr(_roots, "_MAX_EVALUATIONS", 1)
+        # the residual is concave in v, so Newton steps from the low start
+        # stay below the root until the last one; one step is too few
+        monkeypatch.setattr(_roots, "_MAX_EXPANSIONS", 1)
         with pytest.raises(ConvergenceError) as info:
             solve_zero_sound(1.0)
-        assert info.value.bracket is not None
+        lo, hi = info.value.bracket
+        assert dispersion._residual_log(lo, 1.0)[0] < 0.0 and hi == math.inf
 
     def test_residual_evaluations_per_exact_root(self, monkeypatch):
-        # Brent's method needs about 11 residuals per root here; bisection
-        # to a one-ulp bracket needed 56
+        # Newton steps from the closed-form or large-S start need 4.6
+        # residuals per root here on average, and at most 9
         calls = []
         residual = dispersion._residual_log
         monkeypatch.setattr(dispersion, "_residual_log", lambda v, a: calls.append(v) or residual(v, a))
+        counts = []
         for a in np.logspace(math.log10(0.06), 3.0, 200):
             calls.clear()
             point = solve_zero_sound(float(a))
             assert point.method is Method.EXACT
-            assert len(calls) <= 25, (a, len(calls))
+            assert len(calls) <= 10, (a, len(calls))
+            counts.append(len(calls))
+        assert sum(counts) <= 6 * len(counts)
+
+    @pytest.mark.parametrize("a", [1e50, 1e158, 1e230, 1e300, sys.float_info.max])
+    def test_strong_coupling_root_to_rounding(self, a):
+        # one ulp of v = ln(S - 1) ~ 345 is 5.7e-14 of S; the last Newton
+        # step, taken on S, resolves S to rounding
+        point = solve_zero_sound(a)
+        v, S = _mpmath_root(a, point.log_excess)
+        assert abs(point.S - S) <= math.ulp(point.S)
+        assert abs(point.residual) <= 2.2e-16
+        assert point.S_minus_1 == point.S - 1.0 and point.log_excess == math.log(point.S_minus_1)
+
+    def test_log_excess_within_the_promised_bound(self):
+        # README: ln(S - 1) within 1.5e-15 max(1, |v|) of a high-precision root
+        for a in [*np.logspace(-3.0, 300.0, 61), 0.0598, 0.06, 6.855471414989345]:
+            point = solve_zero_sound(float(a))
+            v, _ = _mpmath_root(float(a), point.log_excess)
+            assert abs(point.log_excess - v) <= 1.5e-15 * max(1.0, abs(v)), a
 
     def test_residual_flat_to_rounding_near_the_smallest_coupling(self):
         # at A = 2.2e-308 the root is ln(S - 1) ~ -9.1e307, where the slopes
@@ -282,37 +325,81 @@ class TestIncreasingRoot:
         # the stop rule's full width, at the larger end
         return 1e-15 + 4.0 * sys.float_info.epsilon * max(abs(lo), abs(hi))
 
+    @staticmethod
+    def _step(x):
+        return (1.0 if x > 0.0 else -1.0), 0.0
+
     def test_step_function(self):
-        # no interpolation step helps; the search ends by bisection
-        for lo, hi in ((-1.0, 1.0), (-3.0, 7.0), (-1e-300, 5.0)):
-            x, r, (b_lo, b_hi) = increasing_root(lambda x: 1.0 if x > 0.0 else -1.0, lo, hi, "step")
+        # a zero slope gives no Newton step; the search ends by bisection
+        for start in (-1.0, 7.0, -1e-300, 5.0):
+            x, y, (b_lo, b_hi) = increasing_root(self._step, start, "step")
             assert b_lo <= 0.0 < b_hi
             assert b_hi - b_lo <= self._stop_width(b_lo, b_hi)
-            assert x in (b_lo, b_hi) and r == (1.0 if x > 0.0 else -1.0)
+            assert x in (b_lo, b_hi) and y == self._step(x)
 
     def test_underflowing_slopes_bisect(self):
-        # slopes of 1e-200 square to 0 in the inverse quadratic denominator
-        f = lambda x: 1e-200 * (x + x**3)
-        x, r, (b_lo, b_hi) = increasing_root(f, -1.0, 2.0, "scaled cubic")
-        assert f(b_lo) <= 0.0 <= f(b_hi)
+        # a slope scaled by 1e-200 twice underflows to 0: no Newton step
+        f = lambda x: (1e-200 * (x + x**3), 1e-200 * 1e-200 * (1.0 + 3.0 * x * x))
+        x, y, (b_lo, b_hi) = increasing_root(f, 1.7, "scaled cubic")
+        assert f(b_lo)[0] <= 0.0 <= f(b_hi)[0]
         assert b_hi - b_lo <= self._stop_width(b_lo, b_hi)
-        assert abs(x) <= 1e-15 and r == f(x)
+        assert abs(x) <= 1e-15 and y == f(x)
 
     def test_returns_the_end_with_the_smaller_residual(self):
-        f = lambda x: math.exp(x) - 2.0
-        x, r, (b_lo, b_hi) = increasing_root(f, 0.0, 0.1, "exp")  # expands upward first
+        f = lambda x: (math.exp(x) - 2.0, math.exp(x))
+        x, (r, slope), (b_lo, b_hi) = increasing_root(f, 0.0, "exp")
         assert x == pytest.approx(math.log(2.0), rel=2e-15, abs=0.0)
-        assert x in (b_lo, b_hi) and r == f(x)
-        assert abs(r) <= min(abs(f(b_lo)), abs(f(b_hi)))
+        assert x in (b_lo, b_hi) and (r, slope) == f(x)
+        assert abs(r) <= min(abs(f(b_lo)[0]), abs(f(b_hi)[0]))
 
     def test_budget_counts_evaluations_after_bracketing(self, monkeypatch):
+        # from 0.5 the first push, to -3.5, brackets the step; bisection
+        # would need about 50 more evaluations
         calls = []
-        f = lambda x: calls.append(x) or math.atan(x - 0.3)
+        f = lambda x: calls.append(x) or self._step(x)
         for budget in (1, 2, 5):
             monkeypatch.setattr(_roots, "_MAX_EVALUATIONS", budget)
             calls.clear()
-            increasing_root(f, -1.0, 1.0, "atan")
+            increasing_root(f, 0.5, "step")
+            assert calls[:2] == [0.5, -3.5]
             assert len(calls) == 2 + budget
+
+    def test_newton_step_past_the_bracket_bisects(self):
+        # plain Newton on atan diverges from |x - 0.3| > 1.39: from 30 the
+        # search pushes down to -2, and the Newton step from there, to 5.3,
+        # leaves the bracket [-2, 2]
+        calls = []
+        f = lambda x: calls.append(x) or (math.atan(x - 0.3), 1.0 / (1.0 + (x - 0.3) ** 2))
+        x, _, (b_lo, b_hi) = increasing_root(f, 30.0, "atan")
+        assert b_lo <= 0.3 <= b_hi
+        assert b_hi - b_lo <= self._stop_width(b_lo, b_hi)
+        assert x in (b_lo, b_hi) and abs(x - 0.3) <= 1e-15
+        # once both sides are known, no evaluation leaves the bracket
+        lo, hi = -math.inf, math.inf
+        for point in calls:
+            if lo > -math.inf and hi < math.inf:
+                assert lo < point < hi
+            if point < 0.3:
+                lo = max(lo, point)
+            else:
+                hi = min(hi, point)
+        assert 0.0 in calls  # the midpoint of [-2, 2]
+
+    def test_flat_steps_below_the_root_double_the_step(self):
+        # f is constant on steps 2^-20 wide, far above the stop width: from
+        # 0.3 each Newton step lands on the same flat step, so the search
+        # doubles its last step until it crosses the edge above the root
+        edge = math.ceil(0.3 * 2**20) / 2**20
+        f = lambda x: (math.floor(x * 2**20) / 2**20 - 0.3, 1.0)
+        x, _, (b_lo, b_hi) = increasing_root(f, 0.0, "stairs")
+        assert b_lo < edge <= b_hi and x == b_hi == edge
+        assert b_hi - b_lo <= self._stop_width(b_lo, b_hi)
+
+    def test_no_sign_change_is_labeled(self):
+        with pytest.raises(ConvergenceError) as info:
+            increasing_root(lambda x: (1.0, 0.0), 0.0, "constant")
+        lo, hi = info.value.bracket
+        assert lo == -math.inf and hi < -200.0
 
 
 class TestAsymptoticZeroSound:

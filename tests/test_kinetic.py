@@ -274,6 +274,30 @@ class TestDiscreteCollectiveRoot:
         with pytest.raises(NoUndampedRootError):
             discrete_collective_root(0.0, g)
 
+    def test_a_residual_flat_below_the_root(self):
+        # here the Newton steps from below stop on a value of S whose
+        # residual, -1.1e-13, holds for about 5e-11 in w: the search must
+        # step past it, where steps of the stop width would not
+        a = 0.0816574926129991
+        root = discrete_collective_root(a, _GRID_400)
+        assert root - float(_GRID_400.nodes[-1]) == pytest.approx(math.exp(-12.7290304885735), rel=1e-10)
+        # the residual changes sign between the root and a neighbouring float
+        residual = lambda S: 1.0 - a * secular_sum(S, _GRID_400)
+        assert any(residual(root) * residual(math.nextafter(root, toward)) < 0.0 for toward in (0.0, 2.0))
+
+    def test_secular_evaluations_per_root(self, monkeypatch):
+        # 9.1 passes of the sum per root on average at N = 400.  Below
+        # A ~ 0.3 the root hugs the top node, where one ulp of S moves w by
+        # about 1e-10, so the search ends by bisecting that step down to the
+        # stop width
+        calls = []
+        terms = zerosound.kinetic._even_terms
+        monkeypatch.setattr(zerosound.kinetic, "_even_terms", lambda S, grid: calls.append(S) or terms(S, grid))
+        couplings = np.logspace(math.log10(0.05), 2.0, 200)
+        for a in couplings:
+            discrete_collective_root(float(a), _GRID_400)
+        assert len(calls) <= 10 * len(couplings)
+
     @given(exponent=st.floats(min_value=0.0, max_value=300.0))
     @example(exponent=10.0)  # the term-by-term sum: 4.8e-12 off
     @example(exponent=34.0)  # -0.85 off

@@ -186,6 +186,34 @@ class TestDispersionPoint:
         with pytest.raises(InvalidArgumentError):
             DispersionPoint.from_json_dict(data)
 
+    @pytest.mark.parametrize("change", [
+        {"S": "nan", "S_minus_1": "-5"},  # once loaded as above_continuum with S = nan
+        {"S": "nan"},
+        {"A": "inf"},
+        {"Q0": math.nan},
+        {"k_lambda_d": -math.inf},
+        {"S": True},  # a JSON boolean is not a number
+        {"residual": False},
+        {"S": "1.0"},  # nor is other text
+        {"omega": "2"},
+        {"S": None},
+        {"S_minus_1": -1e-300},  # below the edge, with a log_excess
+        {"S_minus_1": "nan"},
+        {"A": 10**400},
+    ])
+    def test_what_the_cli_never_writes_is_rejected(self, change):
+        data = {**self._point().to_json_dict(), **change}
+        with pytest.raises(InvalidArgumentError, match="malformed dispersion point record"):
+            DispersionPoint.from_json_dict(data)
+
+    def test_the_cli_text_for_non_finite_floats_is_read(self):
+        data = {**self._point().to_json_dict(), "residual": "nan", "omega": "-inf", "S_minus_1": "inf"}
+        p = DispersionPoint.from_json_dict(data)
+        assert math.isnan(p.residual) and p.omega == -math.inf and p.S_minus_1 == math.inf
+        # a point below the edge carries no log_excess and may have S - 1 < 0
+        below = {**data, "S": 0.9, "S_minus_1": -0.1, "log_excess": None}
+        assert DispersionPoint.from_json_dict(below).S_minus_1 == -0.1
+
     def test_above_continuum_uses_the_log_carrier(self):
         p = self._point()
         assert p.S == 1.0  # the plain field cannot resolve the excess

@@ -152,6 +152,21 @@ def test_time_domain_oracle_stays_independent():
     assert not reached & {"secular_sum", "discrete_collective_root"}
 
 
+def test_one_root_finder():
+    # the exact solver and the matrix oracle each make one search through
+    # _roots.increasing_root, and no source file reaches for scipy's
+    for path in sorted(Path(zerosound.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+                 and getattr(node.func, "id", getattr(node.func, "attr", None)) == "increasing_root"]
+        assert len(calls) == (1 if path.name in ("dispersion.py", "kinetic.py") else 0), path.name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                assert not any(alias.name.startswith("scipy") for alias in node.names), path.name
+            elif isinstance(node, ast.ImportFrom):
+                assert not (node.module or "").startswith("scipy"), path.name
+
+
 def test_range_messages_are_written_only_in_model():
     # count and sign checks go through model's helpers, so a hand-written
     # one cannot come back in another module; "k_max must be >= k_min"
