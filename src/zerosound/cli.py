@@ -35,7 +35,9 @@ __all__ = ["main", "build_parser"]
 
 
 def _cell(value):
-    """One CSV cell: text as is, true/false, empty for None, 17 significant digits."""
+    """One CSV cell: 17 significant digits, text as is, true/false, empty for None."""
+    if type(value) is float:  # most cells; a bool is never a float
+        return f"{value:.17g}"
     if isinstance(value, str):
         return value
     if isinstance(value, bool):
@@ -46,7 +48,7 @@ def _cell(value):
 
 
 def _csv(header, rows):
-    return "".join(",".join(map(_cell, row)) + "\n" for row in (header, *rows))
+    return "".join([",".join(map(_cell, row)) + "\n" for row in (header, *rows)])
 
 
 # JSON escapes for the backslash, the quote and the control characters
@@ -54,6 +56,9 @@ _JSON_ESCAPES = {ord("\\"): "\\\\", ord('"'): '\\"', **{c: f"\\u{c:04x}" for c i
 
 
 def _json_value(value):
+    if isinstance(value, float):  # a bool is never a float, so floats go first
+        text = f"{value:.17g}"
+        return text if math.isfinite(value) else f'"{text}"'
     if value is None:
         return "null"
     if isinstance(value, bool):
@@ -62,19 +67,20 @@ def _json_value(value):
         return f'"{value.translate(_JSON_ESCAPES)}"'
     if isinstance(value, int):
         return str(value)
-    if isinstance(value, float):
-        text = format(value, ".17g")
-        return text if math.isfinite(value) else f'"{text}"'
     if isinstance(value, dict):
         return _json_object(value)
     if isinstance(value, list):
-        return "[" + ",".join(_json_value(v) for v in value) + "]"
+        return "[" + ",".join([_json_value(v) for v in value]) + "]"
     raise TypeError(f"unserializable value {value!r}")
 
 
 def _json_object(fields):
-    parts = (f'"{key}":{_json_value(value)}' for key, value in fields.items())
-    return "{" + ",".join(parts) + "}"
+    # a finite float, most fields, is written here without the call
+    return "{" + ",".join([
+        f'"{key}":{value:.17g}' if type(value) is float and math.isfinite(value)
+        else f'"{key}":{_json_value(value)}'
+        for key, value in fields.items()
+    ]) + "}"
 
 
 def _write_text(path, text):
@@ -221,7 +227,7 @@ def run_simulate(args):
     columns = (series.times, samples.real, samples.imag, abs(samples))
     rows = zip(*(column.tolist() for column in columns))
     _write_text(args.out, "t,re_density,im_density,abs_density\n"
-                + "".join("%.17g,%.17g,%.17g,%.17g\n" % row for row in rows))
+                + "".join(["%.17g,%.17g,%.17g,%.17g\n" % row for row in rows]))
 
     sys.stdout.write(_json_object({
         "k_lambda_d": coupling.k_lambda_d,
@@ -333,9 +339,13 @@ def _join_negative_values(argv):
     return words
 
 
+# parsing leaves a parser as it was, so main builds one per process
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser().parse_args(_join_negative_values(argv))
+    args = _parser().parse_args(_join_negative_values(argv))
     try:
         return _HANDLERS[args.command](args)
     except ZeroSoundError as exc:

@@ -14,6 +14,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from conftest import run_cli
 from hypothesis import example, given, settings, strategies as st
@@ -26,7 +27,7 @@ from zerosound import (
     coupling_strength,
     solve_zero_sound,
 )
-from zerosound.cli import _json_value, build_parser, main
+from zerosound.cli import _cell, _json_object, _json_value, build_parser, main
 
 
 def _main(argv):
@@ -597,6 +598,76 @@ def test_json_strings_escape_every_control_character():
     encoded = _json_value(text)
     assert min(map(ord, encoded)) >= 0x20
     assert json.loads(encoded) == text
+
+
+@pytest.mark.parametrize("value,cell,encoded", [
+    (-0.0, "-0", "-0"),
+    (5e-324, "4.9406564584124654e-324", "4.9406564584124654e-324"),
+    (sys.float_info.max, "1.7976931348623157e+308", "1.7976931348623157e+308"),
+    (-sys.float_info.max, "-1.7976931348623157e+308", "-1.7976931348623157e+308"),
+    (0.1, "0.10000000000000001", "0.10000000000000001"),
+    # non-finite numbers are bare in CSV and quoted in JSON
+    (math.nan, "nan", '"nan"'),
+    (math.inf, "inf", '"inf"'),
+    (-math.inf, "-inf", '"-inf"'),
+    (np.float64(0.1), "0.10000000000000001", "0.10000000000000001"),
+    (np.float64(math.nan), "nan", '"nan"'),
+    (np.float64(-math.inf), "-inf", '"-inf"'),
+    (True, "true", "true"),
+    (False, "false", "false"),
+    (0, "0", "0"),
+    (-7, "-7", "-7"),
+    (2**70, "1.1805916207174113e+21", "1180591620717411303424"),
+    (None, "", "null"),
+    ('a\tb"c\\\x00\x1fé', 'a\tb"c\\\x00\x1fé', '"a\\u0009b\\"c\\\\\\u0000\\u001fé"'),
+])
+def test_cells_and_json_values_keep_their_bytes(value, cell, encoded):
+    # floats are rendered before any other type is tried; np.float64, a
+    # float subclass, and every other type keep the bytes they had before
+    assert _cell(value) == cell
+    assert _json_value(value) == encoded
+    assert _json_object({"k": value}) == f'{{"k":{encoded}}}'
+    assert _json_value([value, {"n": value}]) == f'[{encoded},{{"n":{encoded}}}]'
+
+
+class TestParserReuse:
+    """main parses with one parser per process; no call leaves state in it."""
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert build_parser() is not build_parser()
+
+    def test_outputs_repeat_in_one_process_and_match_a_fresh_one(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # the same help width here and in the child
+        trace = tmp_path / "trace.csv"
+        scan = ["scan", "--Q0", "0.5", "--k-min", "0.1", "--k-max", "2", "--points", "5"]
+        sequence = [
+            scan,
+            ["solve", "--Q0", "3", "--k-lambda", "0.7"],
+            ["compare", "--Q0", "2", "--n-mu", "32", "--steps", "512", "--format", "json"],
+            ["simulate", "--Q0", "2", "--n-mu", "16", "--steps", "256", "--out", str(trace)],
+            ["solve", "--Q0", "one"],
+            ["--help"],
+            scan,
+        ]
+        runs = []
+        for argv in sequence:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # argparse ends a bad value and --help this way
+                    code = ("exit", exc.code)
+            runs.append((code, out.getvalue(), err.getvalue()))
+        assert [code for code, _, _ in runs] == [0, 0, 0, 0, ("exit", 2), ("exit", 0), 0]
+        assert runs[4][1] == "" and runs[4][2].startswith("usage: zerosound solve")
+        assert runs[5][1].startswith("usage: zerosound") and runs[5][2] == ""
+        assert runs[-1] == runs[0]
+        written = trace.read_text()
+        for argv, (code, out, err) in zip(sequence, runs):
+            proc = run_cli(*argv)
+            assert proc.returncode == (code[1] if isinstance(code, tuple) else code)
+            assert (proc.stdout, proc.stderr) == (out, err)
+        assert trace.read_text() == written
 
 
 class TestSolverDefaults:

@@ -304,11 +304,12 @@ class TestDiscreteCollectiveRoot:
     @example(exponent=114.0)  # 1.56e45 against 5.77e56
     @settings(max_examples=200, deadline=None)
     def test_matches_the_exact_root_at_every_strong_coupling(self, exponent):
-        # at N = 400 the secular root meets the continuum root to the
-        # resolution of the log variables: one ulp of ln S ~ 345 is 5.7e-14
+        # at N = 400 the secular root meets the continuum root to rounding:
+        # for S >= 2 both take a last Newton step on S, and below it the
+        # search's stop width in ln(S - mu_max) keeps the gap under 1.2e-15
         a = 10.0**exponent
         root = discrete_collective_root(a, _GRID_400)
-        assert root == pytest.approx(solve_zero_sound(a).S, rel=1e-13, abs=0.0)
+        assert root == pytest.approx(solve_zero_sound(a).S, rel=2e-15, abs=0.0)
 
 
 class TestEvolve:
