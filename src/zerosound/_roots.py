@@ -1,9 +1,9 @@
-"""Safeguarded Newton search shared by the exact solver and the matrix oracle.
+"""Root solve shared by the exact solver and the matrix oracle.
 
-Both solvers look for the single sign change of an increasing function of
-a logarithmic variable: v = ln(S - 1) for the dispersion relation,
-w = ln(S - mu_max) for the secular equation.  Only this generic search is
-shared; each caller evaluates its own function and its slope.
+Both solve 1 = A K(S) above a band edge, K ~ 1/(3 S^2) at large S: the
+dispersion relation above 1, the secular equation above mu_max.  edge_root
+owns the start, the search in w = ln(S - edge) and the closing Newton step
+on S; each caller evaluates its own residual and slope.
 """
 
 import math
@@ -21,6 +21,24 @@ _MAX_EVALUATIONS = 200  # after bracketing; an exact root takes about 5 in all
 # stop once the bracket's half-width is below 0.5 * (_WIDTH + _RELATIVE_WIDTH |x|)
 _WIDTH = 1e-15
 _RELATIVE_WIDTH = 4.0 * sys.float_info.epsilon
+
+
+def edge_root(f, a, edge, low, what):
+    """Root S > edge of 1 = A K(S) by increasing_root in w = ln(S - edge); f(w) gives (r, dr/dw).
+
+    The start is the largest of low, the caller's estimate of w, ln 2 - 2 - 2/A
+    (weak coupling) and ln(S_e - 1), with 1/S_e^2 = x from x/3 + x^2/5 = 1/A.
+    w holds S to one ulp of w, so for S >= 2 a Newton step on S, dS = e^w dw
+    (dr/dS underflows from A ~ 1e230), resolves it to rounding.  Returns (S, w, r at w, bracket).
+    """
+    S = math.sqrt(a / 6.0 + math.sqrt(a / 6.0) * math.sqrt((a + 7.2) / 6.0))
+    w = max(low, math.log(2.0) - 2.0 - 2.0 / a, math.log(S - 1.0) if S > 1.0 else -math.inf)
+    w, (residual, slope), bracket = increasing_root(f, w, what)
+    u = math.exp(w)  # may underflow; S then rounds to the edge
+    S = edge + u
+    if S >= 2.0:
+        S -= u * (residual / slope)
+    return S, w, residual, bracket
 
 
 def increasing_root(f, x, what):

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import sys
 
-from ._roots import increasing_root
+from ._roots import edge_root
 from .errors import (
     ConvergenceError,
     DomainError,
@@ -184,19 +184,10 @@ def _exact_zero_sound(coupling, tolerance=SolverConfig.tolerance):
     # [0.06, 1e3]; its pushes grow with |v|, so it solves every supported A
     c = _positive_coupling(coupling)
     a = c.A
-    # start from the larger of two low estimates of v: the weak-coupling closed
-    # form, and S^2 = 1/x from the series' first two terms, x/3 + x^2/5 = 1/A
-    S = math.sqrt(a / 6.0 + math.sqrt(a / 6.0) * math.sqrt((a + 7.2) / 6.0))
-    v = max(_LN2 - 2.0 - 2.0 / a, math.log(S - 1.0) if S > 1.0 else -math.inf)
-    v, (residual, slope), bracket = increasing_root(
-        lambda v: _residual_log(v, a), v, f"ln(S - 1) at A = {a!r}"
-    )
-    u = math.exp(v)  # may underflow; S then rounds to the band edge
-    S = 1.0 + u
-    if S >= 2.0:
-        # v holds S to one ulp of v only: a last Newton step, taken on S with
-        # dS = u dv (dr/dS itself underflows from A ~ 1e230), resolves S to rounding
-        S -= u * (residual / slope)
+    S, v, residual, bracket = edge_root(lambda v: _residual_log(v, a), a, 1.0, -math.inf,
+                                        f"ln(S - 1) at A = {a!r}")
+    u = math.exp(v)
+    if S >= 2.0:  # the closing step on S moved S off v
         residual, u = 1.0 - _kernel_series(S, a)[0], S - 1.0
         v = math.log(u)
     if not abs(residual) <= tolerance:

@@ -8,9 +8,10 @@ mu_i = cos(theta_i),
 gives two cross-checks of the analytic dispersion relation: the discrete
 secular equation (a matrix eigenproblem in disguise) and direct time
 evolution followed by spectral estimation.  The secular root shares only
-the generic bracketed root-finder with the exact solver, never a kernel
-evaluation; the time-domain oracle (blocked RK4 on the state's two
-mirror-symmetric parts, over the mu >= 0 half of the grid) shares nothing.
+the root solve of _roots (its start, search and closing step on S) with
+the exact solver, never a kernel evaluation; the time-domain oracle
+(blocked RK4 on the state's two mirror-symmetric parts, over the mu >= 0
+half of the grid) shares nothing.
 S and frequency are in continuum-edge units (time in 1/(k v_F)), so the
 collective line of the evolved signal sits at omega = S.
 
@@ -24,7 +25,7 @@ from __future__ import annotations
 import math
 import sys
 
-from ._roots import increasing_root
+from ._roots import edge_root
 from .errors import (
     DomainError,
     InvalidArgumentError,
@@ -173,58 +174,53 @@ def secular_sum(S, grid):
     return float(_even_terms(S, grid)[0].sum())
 
 
-def _even_terms(S, grid):
-    # the terms of secular_sum over mu > 0, with S - mu and S + mu
+def _even_terms(S, grid, scale=0):
+    import numpy as np
+    # the terms of secular_sum over mu > 0, times 2^scale, with S - mu and S + mu;
+    # the power of two is exact, and applied before the second factor it keeps
+    # normal the terms of order 1/A near the root, subnormal from A ~ 1e300 unscaled
     S = _require_finite("S", S)
     if abs(S) <= grid.nodes[-1]:
         raise DomainError(f"secular sum defined for |S| > mu_max only, got {S!r}")
     half = grid.size // 2  # an odd grid's node 0 adds nothing
     mu = grid.nodes[half:]
     below, above = S - mu, S + mu
-    return grid.weights[half:] * mu / below * (mu / above), below, above
+    return np.ldexp(grid.weights[half:] * mu / below, scale) * (mu / above), below, above
 
 
 def discrete_collective_root(coupling, grid):
     """Root S of the secular equation 1 = A * secular_sum(S) above all nodes.
 
     The secular function decreases monotonically from +inf at the largest
-    node to 0 at infinity, so the root is unique; Newton-bisection finds it
-    in w = ln(S - mu_max), on the slope of the even form of secular_sum,
-    about 9 sums per root at N = 400 for A in [0.05, 100]; for S >= 2 a last
-    Newton step on S itself resolves S to rounding.  The root stays within
-    2e-15 relative of the continuum root from A = 1 up to 1e300 at N = 400.
-    At weak coupling a root within half an ulp of mu_max comes back as the
-    next float above it.
+    node to 0 at infinity, so the root is unique; the shared solve
+    _roots.edge_root finds it in w = ln(S - mu_max), on the slope of the
+    even form of secular_sum, about 9 sums per root at N = 400 for A in
+    [0.05, 100].  The root stays within 2e-15 relative of the continuum
+    root from A = 1 up to the largest float at N = 400.  At weak coupling a
+    root within half an ulp of mu_max comes back as the next float above it.
     """
     c = as_coupling(coupling)
     if c.A <= 0.0:
         raise NoUndampedRootError(f"no discrete collective root for A <= 0 (A = {c.A!r})")
     a = c.A
+    m, k = math.frexp(a)  # A = m 2^k
     mu_max = float(grid.nodes[-1])
 
     def h(w):
         # 1 - A secular_sum(S) and its slope in w, a sum of positive terms
-        # 2 A [w mu^2/(S^2 - mu^2)] [e^w/(S - mu)] [S/(S + mu)]
+        # 2 A [w mu^2/(S^2 - mu^2)] [e^w/(S - mu)] [S/(S + mu)], with the terms
+        # scaled by 2^k and A by 2^-k
         S = mu_max + math.exp(w)
         if S == mu_max:  # rounded onto the top node, where the limit is +inf
             return -math.inf, math.nan
-        terms, below, above = _even_terms(S, grid)
-        return 1.0 - a * float(terms.sum()), 2.0 * a * float(terms @ ((S - mu_max) / below * (S / above)))
+        terms, below, above = _even_terms(S, grid, k)
+        return 1.0 - m * float(terms.sum()), 2.0 * m * float(terms @ ((S - mu_max) / below * (S / above)))
 
-    # start low, at the largest of: where the top node's term alone reaches 1/A,
-    # S - 1 from the continuum root's weak- and strong-coupling estimates, 2 ulps
+    # a low estimate of S - mu_max: where the top node's term alone reaches 1/A, or 2 ulps
     aw = a * float(grid.weights[-1])
     top = aw * mu_max / (1.0 + math.sqrt(1.0 + aw))
-    S = math.sqrt(a / 6.0 + math.sqrt(a / 6.0) * math.sqrt((a + 7.2) / 6.0))
-    w = math.log(max(top, 2.0 * math.exp(-2.0 - 2.0 / a), S - 1.0, sys.float_info.epsilon))
-    w, (residual, slope), _ = increasing_root(h, w, f"ln(S - mu_max) at A = {a!r}")
-    u = math.exp(w)
-    S = mu_max + u
-    if S >= 2.0:
-        # w holds S to one ulp of w only: a last Newton step, taken on S with
-        # dS = u dw, resolves S to rounding
-        S -= u * (residual / slope)
-    return S
+    low = math.log(max(top, sys.float_info.epsilon))
+    return edge_root(h, a, mu_max, low, f"ln(S - mu_max) at A = {a!r}")[0]
 
 
 def _finite_vector(name, values, dtype=complex):

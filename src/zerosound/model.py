@@ -133,7 +133,19 @@ def _refuse_deletion(record, name):
 def _record_eq(record, other):
     if other.__class__ is not record.__class__:
         return NotImplemented
-    return _field_values(record) == _field_values(other)
+    return all(_field_eq(getattr(record, name), getattr(other, name)) for name in record.__match_args__)
+
+
+def _field_eq(mine, theirs):
+    # identity first, as a tuple compares its items, so a nan field equals
+    # itself; two arrays (values with a shape) are equal when their shapes
+    # and all their elements are
+    if mine is theirs:
+        return True
+    shape = getattr(mine, "shape", None)
+    if shape is None or not hasattr(theirs, "shape"):
+        return bool(mine == theirs)
+    return shape == theirs.shape and bool((mine == theirs).all())
 
 
 def _record_hash(record):

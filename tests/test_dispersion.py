@@ -6,12 +6,14 @@ the dispersion relation.  They are frozen here as literals; the largest
 couplings are checked against mpmath roots instead.  The solver under
 test takes Newton steps from the shared root-finder in _roots; that
 root-finder is also checked on its own, on functions that defeat its
-Newton steps, and its residual count per exact root is bounded so that a
-slower search shows as a failure.
+Newton steps, and so is the shared solve around it, on a relation with a
+closed-form root.  The residual count per exact root is bounded so that
+a slower search shows as a failure.
 """
 
 import math
 import sys
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -38,7 +40,7 @@ from zerosound import (
     solve_zero_sound,
 )
 from zerosound import _roots, dispersion
-from zerosound._roots import increasing_root
+from zerosound._roots import edge_root, increasing_root
 from zerosound.dispersion import _exact_zero_sound
 
 
@@ -400,6 +402,38 @@ class TestIncreasingRoot:
             increasing_root(lambda x: (1.0, 0.0), 0.0, "constant")
         lo, hi = info.value.bracket
         assert lo == -math.inf and hi < -200.0
+
+
+class TestEdgeRoot:
+    @pytest.mark.parametrize("edge", [1.0, 0.75])
+    @pytest.mark.parametrize("a", [0.3, 3.0, 8.9, 9.0, 9.1, 300.0, 1e200, sys.float_info.max])
+    def test_closed_form_root(self, a, edge):
+        # 1 = A / (3 (S^2 - edge^2)), root S^2 = edge^2 + A/3, with S^2 - edge^2
+        # = u (2 edge + u) for u = S - edge; S = 2 at A = 9 for edge 1
+        def f(w):
+            u = math.exp(w)
+            d = u * (2.0 * edge + u)
+            return 1.0 - a / 3.0 / d, a / 3.0 / d * ((2.0 * edge + 2.0 * u) * u / d)
+
+        S, w, r, (lo, hi) = edge_root(f, a, edge, -math.inf, "closed form")
+        with localcontext() as context:
+            context.prec = 40
+            exact = (Decimal(edge) ** 2 + Decimal(a) / 3).sqrt()
+            log_excess = float((exact - Decimal(edge)).ln())
+        assert lo <= w <= hi and r == f(w)[0]
+        if S < 2.0:  # w within the search's stop width, and S = edge + e^w
+            assert w == pytest.approx(log_excess, abs=1e-15) and S == edge + math.exp(w)
+        else:  # the closing step on S resolves it to rounding
+            assert S == pytest.approx(float(exact), rel=2 * sys.float_info.epsilon, abs=0.0)
+
+    def test_the_start_is_the_largest_estimate(self):
+        # the caller's low estimate wins over ln 2 - 2 - 2/A and ln(S_e - 1)
+        calls = []
+        f = lambda w: calls.append(w) or (math.tanh(w), 1.0 - math.tanh(w) ** 2)
+        for low, start in ((-math.inf, math.log(2.0) - 4.0), (-0.5, -0.5)):
+            calls.clear()
+            edge_root(f, 1.0, 1.0, low, "tanh")
+            assert calls[0] == start
 
 
 class TestAsymptoticZeroSound:

@@ -1,6 +1,7 @@
 """Discrete-grid oracles: secular root, time evolution, peak extraction."""
 
 import math
+import sys
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -292,22 +293,25 @@ class TestDiscreteCollectiveRoot:
         # stop width
         calls = []
         terms = zerosound.kinetic._even_terms
-        monkeypatch.setattr(zerosound.kinetic, "_even_terms", lambda S, grid: calls.append(S) or terms(S, grid))
+        monkeypatch.setattr(zerosound.kinetic, "_even_terms",
+                            lambda S, grid, scale: calls.append(S) or terms(S, grid, scale))
         couplings = np.logspace(math.log10(0.05), 2.0, 200)
         for a in couplings:
             discrete_collective_root(float(a), _GRID_400)
         assert len(calls) <= 10 * len(couplings)
 
-    @given(exponent=st.floats(min_value=0.0, max_value=300.0))
+    @given(exponent=st.floats(min_value=0.0, max_value=math.log10(sys.float_info.max)))
     @example(exponent=10.0)  # the term-by-term sum: 4.8e-12 off
     @example(exponent=34.0)  # -0.85 off
     @example(exponent=114.0)  # 1.56e45 against 5.77e56
+    @example(exponent=math.log10(sys.float_info.max))  # unscaled subnormal terms: 1.8e-14 off
     @settings(max_examples=200, deadline=None)
     def test_matches_the_exact_root_at_every_strong_coupling(self, exponent):
         # at N = 400 the secular root meets the continuum root to rounding:
         # for S >= 2 both take a last Newton step on S, and below it the
         # search's stop width in ln(S - mu_max) keeps the gap under 1.2e-15
-        a = 10.0**exponent
+        # 10^exponent, rounded down to the largest float at the top of the range
+        a = min(float(Decimal(10) ** Decimal(exponent)), sys.float_info.max)
         root = discrete_collective_root(a, _GRID_400)
         assert root == pytest.approx(solve_zero_sound(a).S, rel=2e-15, abs=0.0)
 

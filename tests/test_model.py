@@ -272,7 +272,7 @@ RECORDS = [
      "BranchScan(grid=GridSpec(k_min=0.1, k_max=1.0, count=3, spacing='linear'), points=(), "
      "failures=((2.0, 'no-undamped-root'),))",
      {"failures": ()}),
-    # one-element arrays, so == between two copies has a truth value
+    # one-element arrays, for a short repr; test_records_holding_arrays_compare_by_value has longer ones
     (AngularGrid, (np.array([0.0]), np.array([2.0])), (np.array([0.0]), np.array([1.0])),
      "AngularGrid(nodes=array([0.]), weights=array([2.]))", {}),
     (AngularState, (np.array([1.0]),), (np.array([2.0]),), "AngularState(values=array([1.+0.j]))", {}),
@@ -335,3 +335,25 @@ def test_record_needs_annotated_fields():
         @_record
         class Empty:
             value = 1.0
+
+
+def test_records_holding_arrays_compare_by_value():
+    # == between arrays of several elements has no truth value, and arrays of
+    # different lengths do not broadcast: a record compares them by shape and elements
+    grid = build_angular_grid(8)
+    assert grid == build_angular_grid(8) and not grid != build_angular_grid(8)
+    assert grid != build_angular_grid(9) and grid != build_angular_grid(12)
+    values = np.arange(1.0, 7.0)
+    changed = values.copy()
+    changed[3] = 0.5
+    assert AngularState(values) == AngularState(values.copy())
+    assert AngularState(values) != AngularState(changed)
+    assert AngularState(values) != AngularState(values[:5])
+    series = TimeSeries(0.5, values)
+    assert series == TimeSeries(0.5, values.copy())
+    assert series != TimeSeries(0.25, values) and series != TimeSeries(0.5, changed)
+    assert series != TimeSeries(0.5, np.arange(1.0, 9.0))
+    # other fields compare as tuple items do, identity first: nan equals itself
+    peak = SpectralPeak(math.nan, 1.0, 0.25)
+    assert peak == peak and copy.copy(peak) == peak
+    assert peak != SpectralPeak(float("nan"), 1.0, 0.25)

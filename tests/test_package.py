@@ -153,13 +153,18 @@ def test_time_domain_oracle_stays_independent():
 
 
 def test_one_root_finder():
-    # the exact solver and the matrix oracle each make one search through
-    # _roots.increasing_root, and no source file reaches for scipy's
+    # the exact solver and the matrix oracle each make one call to the shared
+    # solve _roots.edge_root, which alone holds the start estimate (the 7.2 of
+    # x/3 + x^2/5 = 1/A) and calls _roots.increasing_root; no source file
+    # reaches for scipy's
+    calls = {"_roots.py": (0, 1), "dispersion.py": (1, 0), "kinetic.py": (1, 0)}
     for path in sorted(Path(zerosound.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
-                 and getattr(node.func, "id", getattr(node.func, "attr", None)) == "increasing_root"]
-        assert len(calls) == (1 if path.name in ("dispersion.py", "kinetic.py") else 0), path.name
+        called = [getattr(node.func, "id", getattr(node.func, "attr", None))
+                  for node in ast.walk(tree) if isinstance(node, ast.Call)]
+        assert (called.count("edge_root"), called.count("increasing_root")) == calls.get(path.name, (0, 0)), path.name
+        if path.name in ("dispersion.py", "kinetic.py"):
+            assert not any(isinstance(node, ast.Constant) and node.value == 7.2 for node in ast.walk(tree)), path.name
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 assert not any(alias.name.startswith("scipy") for alias in node.names), path.name
