@@ -300,9 +300,9 @@ def _scale_back(what, x, e):
 
 
 def _block_size(n):
-    # steps per block: the factors F (5B rows) and W (4B rows) on ceil(N/2)
-    # half-grid nodes hold 144 B ceil(N/2) bytes, kept within 1 MiB
-    return min(64, max(1, 2**20 // (144 * (n - n // 2))))
+    # steps per block: the rows v M^m (Fv) and d^(B-1-m) (D) on ceil(N/2)
+    # half-grid nodes hold 32 B ceil(N/2) bytes, kept within 1 MiB
+    return min(128, max(1, 2**20 // (32 * (n - n // 2))))
 
 
 def _row_powers(t, e, U, C, count):
@@ -311,7 +311,7 @@ def _row_powers(t, e, U, C, count):
     rows = np.empty((count, t.shape[0]), dtype=np.complex128)
     for m in range(count):
         rows[m] = t
-        t = t + (t * e + (t @ U).real @ C)
+        t = t + (t * e + (U @ t).real @ C)
     return rows
 
 
@@ -322,47 +322,61 @@ def _rk4_trace(y, mu, w, a, dt, steps):
     # y = s + i x, s = (y + P conj y)/2, x = (y - P conj y)/(2i), splits into
     # two parts with F(-mu) = conj F(mu), each run on the mu >= 0 half, where
     # <q> = Re(v . q) (v = w, and w/2 at mu = 0) and a row t stands for
-    # Re(t . q).  There hL = diag(z) + (h u) v, z = -i h mu, h u = a z, and
-    # the RK4 step of the constant L is M = R(hL) = diag(d) + U C (R(x) =
-    # sum_{k<=4} x^k/k!, d = R(z), U_p = z^p (h u), C_p = sum_{k=p+1..4}
-    # v (hL)^(k-1-p) / k!), so t M = t d + Re(t U) C; the stability bound
-    # keeps every factor O(1).  A block of B steps gives the samples v M^m q
-    # (m < B) and moves q on by M^B = diag(d^B) + sum_{m<B} diag(d^(B-1-m))
-    # U C M^m: F stacks the rows v M^m and C M^m, W the rows d^(B-1-m) U^T,
-    # both used as float64 views against the two columns q = s, x.
-    # d and d^B enter as d - 1 and d^B - 1, added last as the RK4 stages add
-    # to y: a rounded d ~ 1 would drift the amplitude by half an ulp per step.
+    # Re(t . q); a part that is exactly 0 stays 0 and is not run.  There
+    # hL = diag(z) + (h u) v, z = -i h mu, h u = a z, and the RK4 step of the
+    # constant L is M = R(hL) = diag(d) + U C (R(x) = sum_{k<=4} x^k/k!,
+    # d = R(z), U_p = z^p (h u), C_p = sum_{k=p+1..4} v (hL)^(k-1-p) / k!), so
+    # t M = t d + Re(t U) C; the stability bound keeps every factor O(1).  A
+    # block of B steps starts from q with the Krylov columns Q_j = (hL)^j q =
+    # z^j q + sum_{i<j} Re(v (hL)^i q) U_(j-1-i) (j < 4).  M commutes with hL,
+    # so S[m, j] = Re(v M^m Q_j), from the rows v M^m in Fv, holds the samples
+    # (j = 0) and C_p M^m q = sum_j S[m, j] / (p+j+1)!: q moves on by M^B q =
+    # d^B q + sum_{m<B} d^(B-1-m) U C M^m q = d^B q + sum_j V_j (S^T D)_j, with
+    # D the rows d^(B-1-m) and V_j = sum_{p<=3-j} U_p / (p+j+1)!.  Products run
+    # on float64 views, 4 columns a part.  d and d^B enter as d - 1 and
+    # d^B - 1, added last as the RK4 stages add to y: a rounded d ~ 1 would
+    # drift the amplitude by half an ulp per step.
     h = mu.shape[0] // 2
     mirror = np.conj(y[::-1])[h:]
     Y = np.stack(((y[h:] + mirror) / 2.0, (y[h:] - mirror) / 2j))
+    parts = np.flatnonzero(Y.any(axis=1))
+    Y = Y[parts]
     v = w[h:] / np.where(mu[h:] == 0.0, 2.0, 1.0)
     z = dt * (-1j * mu[h:])
     e = z * (1.0 + z / 2.0 * (1.0 + z / 3.0 * (1.0 + z / 4.0)))  # d - 1
-    cols = [a * z]
-    rows = [v]  # v (hL)^m
+    cols, powers, rows = [a * z], [np.ones_like(z)], [v]  # U_p, z^j, v (hL)^i
     for _ in range(3):
         cols.append(z * cols[-1])
+        powers.append(z * powers[-1])
         rows.append(rows[-1] * z + (rows[-1] @ cols[0]).real * v)
-    U = np.stack(cols, axis=1)
+    U, Z = np.array(cols), np.array(powers)
     C = np.array([sum(rows[k - 1 - p] / math.factorial(k) for k in range(p + 1, 5))
                   for p in range(4)])
+    V = np.array([sum(U[p] / math.factorial(p + j + 1) for p in range(4 - j)) for j in range(4)])
+    K = np.array([[U[j - 1 - i] if j > i else np.zeros_like(z) for j in range(4)]
+                  for i in range(3)])  # K[i, j] = U_(j-1-i)
+    K = K.view(np.float64).reshape(3, -1)
+    vh = np.conj(rows[:3]).view(np.float64).T  # the rows v (hL)^i, as columns
 
     b = _block_size(mu.shape[0])
-    F = np.conj(np.concatenate([_row_powers(t, e, U, C, b) for t in (v, *C)])).view(np.float64)
+    Fv = np.conj(_row_powers(v, e, U, C, b)).view(np.float64)
     excess = np.zeros((b + 1, v.shape[0]), dtype=np.complex128)  # excess[m] = d^m - 1
     for m in range(b):
         excess[m + 1] = excess[m] + e * (1.0 + excess[m])
-    # row p B + m of W is d^(B-1-m) U_p, to meet row B + p B + m of F
-    W = (U.T[:, None, :] * (1.0 + excess[b - 1 :: -1])).reshape(4 * b, -1).view(np.float64)
+    D = (1.0 + excess[b - 1 :: -1]).view(np.float64)
     e_b = excess[b]
 
     total = steps + 1
-    trace = np.empty((total, 2))  # the rows [<s>, <x>]
+    samples = np.empty((parts.shape[0], total))
     for start in range(0, total, b):
-        block = F @ Y.view(np.float64).T
-        stop = min(start + b, total)
-        trace[start:stop] = block[: stop - start]
-        Y = Y + (e_b * Y + (block[b:].T @ W).view(np.complex128))
+        r = Y.view(np.float64) @ vh  # Re(v (hL)^i q), a row per part
+        Q = Z * Y[:, None] + (r @ K).view(np.complex128).reshape(-1, *Z.shape)
+        S = Q.view(np.float64).reshape(-1, Fv.shape[1]) @ Fv.T  # S^T, the rows [part, j]
+        samples[:, start : start + b] = S[::4, : total - start]
+        X = (S @ D).view(np.complex128).reshape(-1, *Z.shape) * V  # V_j (S^T D)_j
+        Y = Y + (e_b * Y + X[:, ::-1].sum(axis=1))  # the smaller terms of higher j first
+    trace = np.zeros((total, 2))  # the rows [<s>, <x>]; a part not run reads +0.0
+    trace[:, parts] = samples.T
     return trace.view(np.complex128)[:, 0]
 
 
@@ -377,8 +391,9 @@ def evolve_initial_value(coupling, grid, initial, dt, steps):
     The step's factors are built from h L, which the stability bound keeps
     O(1), so they stay finite at every finite A.  The state's two parts with
     F(-mu) = conj F(mu) run on the mu >= 0 half grid with a real <F> (such a
-    state's trace has imaginary part exactly 0), in blocks of two-column
-    products; the trace agrees with the four-stage RK4 loop to rounding.
+    state's trace has imaginary part exactly +0.0), in blocks of products of
+    4 Krylov columns a part; a part that is exactly 0 is not run.  The
+    trace agrees with the four-stage RK4 loop to rounding.
     """
     c = as_coupling(coupling)
     dt = _require_positive("dt", dt)

@@ -465,15 +465,40 @@ class TestEvolve:
     @pytest.mark.parametrize("n", [32, 33])  # 33: the odd grid's mu = 0 node
     def test_a_mirror_symmetric_state_has_a_real_trace(self, n):
         # F(-mu) = conj F(mu) is one of the two parts the evolution splits a
-        # state into, and its <F> is real: the imaginary part is exactly 0,
-        # for the CLI's isotropic state and for a random state of that form
+        # state into, and its <F> is real: the imaginary part is exactly +0.0
+        # (never -0.0, which a CSV would print as -0), for the CLI's isotropic
+        # state and for a random state of that form
         g = build_angular_grid(n)
         rng = np.random.default_rng(n)
         half = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         for state in (np.full(n, 0.7), half + np.conj(half[::-1])):
             out = evolve_initial_value(2.0, g, AngularState(state), 0.03, 1000).samples
-            assert np.all(out.imag == 0.0)
+            assert np.all(out.imag == 0.0) and not np.any(np.signbit(out.imag))
             assert np.any(out.real != 0.0)
+
+    @pytest.mark.parametrize("n", [32, 33])
+    def test_a_mirror_antisymmetric_state_has_an_imaginary_trace(self, n):
+        # F(-mu) = -conj F(mu) is i times the other part: the evolution runs
+        # that part alone, its real part reads +0.0, and it is still the
+        # four-stage RK4 loop to rounding
+        g = build_angular_grid(n)
+        rng = np.random.default_rng(n)
+        half = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        for state in (np.full(n, 1j), half - np.conj(half[::-1])):
+            out = evolve_initial_value(2.0, g, AngularState(state), 0.03, 1000).samples
+            ref = _four_stage_rk4_trace(state, g.nodes, 0.5 * g.weights, 2.0, 0.03, 1000)
+            assert float(np.max(np.abs(out - ref))) <= 1e-12
+            assert np.all(out.real == 0.0) and not np.any(np.signbit(out.real))
+            assert np.any(out.imag != 0.0)
+
+    def test_block_size_keeps_the_factors_within_a_mebibyte(self):
+        # the rows v M^m and d^(B-1-m), complex on ceil(N/2) nodes, hold
+        # 32 B ceil(N/2) bytes; only a single step per block may exceed 1 MiB
+        sampled = np.unique(np.geomspace(4, MAX_GRID_SIZE, 200).astype(int))
+        for n in [*range(4, 2049), *sampled.tolist(), MAX_GRID_SIZE]:
+            b = _block_size(n)
+            assert 1 <= b <= 128, n
+            assert 32 * b * ((n + 1) // 2) <= 2**20 or b == 1, n
 
     @pytest.mark.parametrize("n", [33, 128, 400])  # 33: the odd grid's mu = 0 node
     # 1e120 and the largest float: the factors, built from h L, stay O(1)
