@@ -133,8 +133,6 @@ def build_parser():
     p_sim.add_argument("--dt", type=float, default=None,
                        help="time step (default: the stability bound 0.1/(1+A))")
     p_sim.add_argument("--steps", type=int, default=16384)
-    p_sim.add_argument("--amplitude", type=float, default=1.0,
-                       help="initial isotropic amplitude")
     p_sim.add_argument("--out", required=True, metavar="PATH", help="time-series CSV path")
 
     p_cmp = sub.add_parser("compare", parents=[solver_flags, params_flag],
@@ -210,9 +208,9 @@ def run_scan(args):
     return 0
 
 
-def _time_domain(coupling, grid, args, amplitude):
+def _time_domain(coupling, grid, args):
     dt = args.dt if args.dt is not None else stability_bound(coupling)
-    state = AngularState([amplitude] * grid.size)
+    state = AngularState([1.0] * grid.size)
     series = evolve_initial_value(coupling, grid, state, dt, args.steps)
     return series, spectral_peak(series)
 
@@ -220,7 +218,7 @@ def _time_domain(coupling, grid, args, amplitude):
 def run_simulate(args):
     coupling = coupling_strength(InteractionModel(args.Q0), args.k_lambda)
     config = SolverConfig(args.tol)  # a bad --tol fails before the evolution
-    series, peak = _time_domain(coupling, build_angular_grid(args.n_mu), args, args.amplitude)
+    series, peak = _time_domain(coupling, build_angular_grid(args.n_mu), args)
     reference = solve_zero_sound(coupling, config)
 
     samples = series.samples
@@ -269,7 +267,7 @@ def _compare_rows(args):
             high_frequency_branch(args.Q0, args.k_lambda, args.mass_convention, params))),
         ("matrix-oracle", lambda: _oracle_cells(discrete_collective_root(coupling, grid()))),
         ("time-domain", lambda: _oracle_cells(
-            _time_domain(coupling, grid(), args, 1.0)[1].frequency)),
+            _time_domain(coupling, grid(), args)[1].frequency)),
     )
     rows = []
     for label, produce in methods:

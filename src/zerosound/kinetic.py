@@ -300,19 +300,9 @@ def _scale_back(what, x, e):
 
 
 def _block_size(n):
-    # steps per block: the rows v M^m (Fv) and d^(B-1-m) (D) on ceil(N/2)
+    # steps per block: the rows conj(v M^m) (Fv) and d^(B-1-m) (D) on ceil(N/2)
     # half-grid nodes hold 32 B ceil(N/2) bytes, kept within 1 MiB
     return min(128, max(1, 2**20 // (32 * (n - n // 2))))
-
-
-def _row_powers(t, e, U, C, count):
-    import numpy as np
-    # t, t M, ..., t M^(count-1) for M = I + diag(e) + U C, one row at a time
-    rows = np.empty((count, t.shape[0]), dtype=np.complex128)
-    for m in range(count):
-        rows[m] = t
-        t = t + (t * e + (U @ t).real @ C)
-    return rows
 
 
 def _rk4_trace(y, mu, w, a, dt, steps):
@@ -329,13 +319,15 @@ def _rk4_trace(y, mu, w, a, dt, steps):
     # t M = t d + Re(t U) C; the stability bound keeps every factor O(1).  A
     # block of B steps starts from q with the Krylov columns Q_j = (hL)^j q =
     # z^j q + sum_{i<j} Re(v (hL)^i q) U_(j-1-i) (j < 4).  M commutes with hL,
-    # so S[m, j] = Re(v M^m Q_j), from the rows v M^m in Fv, holds the samples
-    # (j = 0) and C_p M^m q = sum_j S[m, j] / (p+j+1)!: q moves on by M^B q =
-    # d^B q + sum_{m<B} d^(B-1-m) U C M^m q = d^B q + sum_j V_j (S^T D)_j, with
-    # D the rows d^(B-1-m) and V_j = sum_{p<=3-j} U_p / (p+j+1)!.  Products run
-    # on float64 views, 4 columns a part.  d and d^B enter as d - 1 and
-    # d^B - 1, added last as the RK4 stages add to y: a rounded d ~ 1 would
-    # drift the amplitude by half an ulp per step.
+    # so S[m, j] = Re(v M^m Q_j), from the rows conj(v M^m) in Fv, holds the
+    # samples (j = 0) and C_p M^m q = sum_j S[m, j] / (p+j+1)!: q moves on by
+    # M^B q = d^B q + sum_{m<B} d^(B-1-m) U C M^m q = d^B q + sum_j V_j (S^T D)_j,
+    # with D the rows d^(B-1-m) and V_j = sum_{p<=3-j} U_p / (p+j+1)!.  One
+    # B-step loop writes both, Fv by conj(t M) = conj(t) conj(d) +
+    # Re(conj(U) conj(t)) conj(C).  Products run on float64 views, 4 columns a
+    # part.  d and d^B enter as d - 1 and d^B - 1 (e and x), added last as the
+    # RK4 stages add to y: a rounded d ~ 1 would drift the amplitude by half
+    # an ulp per step.
     h = mu.shape[0] // 2
     mirror = np.conj(y[::-1])[h:]
     Y = np.stack(((y[h:] + mirror) / 2.0, (y[h:] - mirror) / 2j))
@@ -359,12 +351,15 @@ def _rk4_trace(y, mu, w, a, dt, steps):
     vh = np.conj(rows[:3]).view(np.float64).T  # the rows v (hL)^i, as columns
 
     b = _block_size(mu.shape[0])
-    Fv = np.conj(_row_powers(v, e, U, C, b)).view(np.float64)
-    excess = np.zeros((b + 1, v.shape[0]), dtype=np.complex128)  # excess[m] = d^m - 1
+    Fv = np.empty((b, v.shape[0]), dtype=np.complex128)
+    D = np.empty_like(Fv)
+    t, x = np.conj(v.astype(np.complex128)), np.zeros_like(z)  # conj(v M^m), d^m - 1
+    e_c, U_c, C_c = np.conj(e), np.conj(U), np.conj(C)
     for m in range(b):
-        excess[m + 1] = excess[m] + e * (1.0 + excess[m])
-    D = (1.0 + excess[b - 1 :: -1]).view(np.float64)
-    e_b = excess[b]
+        Fv[m], D[b - 1 - m] = t, 1.0 + x
+        t = t + (t * e_c + (U_c @ t).real @ C_c)
+        x = x + e * (1.0 + x)
+    Fv, D = Fv.view(np.float64), D.view(np.float64)
 
     total = steps + 1
     samples = np.empty((parts.shape[0], total))
@@ -374,7 +369,7 @@ def _rk4_trace(y, mu, w, a, dt, steps):
         S = Q.view(np.float64).reshape(-1, Fv.shape[1]) @ Fv.T  # S^T, the rows [part, j]
         samples[:, start : start + b] = S[::4, : total - start]
         X = (S @ D).view(np.complex128).reshape(-1, *Z.shape) * V  # V_j (S^T D)_j
-        Y = Y + (e_b * Y + X[:, ::-1].sum(axis=1))  # the smaller terms of higher j first
+        Y = Y + (x * Y + X[:, ::-1].sum(axis=1))  # the smaller terms of higher j first
     trace = np.zeros((total, 2))  # the rows [<s>, <x>]; a part not run reads +0.0
     trace[:, parts] = samples.T
     return trace.view(np.complex128)[:, 0]

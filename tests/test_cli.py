@@ -20,13 +20,16 @@ from conftest import run_cli
 from hypothesis import example, given, settings, strategies as st
 
 from zerosound import (
+    AngularState,
     DispersionPoint,
     InteractionModel,
     SolverConfig,
     asymptotic_zero_sound,
     coupling_strength,
+    evolve_initial_value,
     solve_zero_sound,
 )
+from zerosound import cli
 from zerosound.cli import _cell, _json_object, _json_value, build_parser, main
 
 
@@ -258,44 +261,6 @@ class TestSimulate:
         assert main(["simulate", "--Q0", "1", "--dt", "0.9", "--out", str(out)]) == 2
         assert not out.exists()
 
-    def test_zero_amplitude_has_no_peak(self, tmp_path, capsys):
-        out = tmp_path / "trace.csv"
-        assert main(["simulate", "--Q0", "1", "--amplitude", "0", "--steps", "256",
-                     "--n-mu", "16", "--out", str(out)]) == 5
-        assert json.loads(capsys.readouterr().err)["error"] == "no-collective-peak"
-        assert not out.exists()
-
-    @pytest.mark.parametrize("amplitude", [2.0**-500, 1e-300, 1e300])
-    def test_peak_does_not_depend_on_amplitude(self, amplitude, tmp_path):
-        argv = ["simulate", "--Q0", "1", "--n-mu", "32", "--steps", "2048",
-                "--out", str(tmp_path / "t.csv")]
-        code, out, _ = _main(argv)
-        assert code == 0
-        unit = json.loads(out)
-        code, out, err = _main([*argv, "--amplitude", repr(amplitude)])
-        assert (code, err) == (0, "")
-        scaled = json.loads(out)
-        assert abs(scaled["peak_frequency"] - unit["peak_frequency"]) <= 1e-12
-        assert scaled["peak_amplitude"] == pytest.approx(
-            amplitude * unit["peak_amplitude"], rel=1e-12, abs=0.0)
-
-    def test_amplitude_at_the_edges_of_the_float_range(self, tmp_path):
-        argv = ["simulate", "--Q0", "1", "--n-mu", "32", "--steps", "2048",
-                "--out", str(tmp_path / "t.csv")]
-        unit = json.loads(_main(argv)[1])
-        code, out, err = _main([*argv, "--amplitude", "1e306"])
-        assert (code, err) == (0, "")
-        assert json.loads(out)["peak_frequency"] == unit["peak_frequency"]
-        # a trace of subnormal samples still carries the line
-        code, out, err = _main([*argv, "--amplitude", "5e-324"])
-        assert (code, err) == (0, "")
-        peak = json.loads(out)
-        assert abs(peak["peak_frequency"] - peak["analytic_S"]) <= peak["bin_width"]
-        # the peak amplitude of a 1e308 state lies above the float range
-        code, out, err = _main([*argv, "--amplitude", "1e308"])
-        assert (code, out) == (7, "")
-        assert json.loads(err)["error"] == "numerical-blowup"
-
     def test_single_step_rejected(self, tmp_path):
         assert main(["simulate", "--Q0", "1", "--steps", "1", "--out", str(tmp_path / "t.csv")]) == 2
 
@@ -311,23 +276,40 @@ class TestSimulate:
         assert "--params-file" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_blowup_is_one_json_line(self, tmp_path, capsys):
+    def test_amplitude_rejected(self, tmp_path, capsys):
+        # the evolution is linear and unit-scaled, so an initial amplitude
+        # would only scale the trace: simulate evolves the unit state
+        out = tmp_path / "t.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--Q0", "1", "--steps", "2048", "--n-mu", "16",
+                  "--amplitude", "1", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "--amplitude" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_blowup_is_one_json_line(self, tmp_path, capsys, monkeypatch):
         out = tmp_path / "t.csv"
         argv = ["simulate", "--out", str(out)]
+
+        def evolve_beyond_the_float_range(coupling, grid, state, dt, steps):
+            # the unit state cannot leave the float range, so the evolution
+            # gets one whose trace modulus does
+            state = AngularState((1.5e308 + 1.5e308j) * state.values)
+            return evolve_initial_value(coupling, grid, state, dt, steps)
+
         with warnings.catch_warnings():
             # a floating-point warning from the overflow would reach stderr
             warnings.simplefilter("error")
-            # on the default record the line's peak amplitude is 6.4 times
-            # the state's, so at 1e308 it lies above the float range (a trace
-            # modulus beyond it: TestEvolve::test_overflow_is_reported_as_blowup)
-            code = main([*argv, "--Q0", "1", "--amplitude", "1e308"])
+            with monkeypatch.context() as patch:
+                patch.setattr(cli, "evolve_initial_value", evolve_beyond_the_float_range)
+                code = main([*argv, "--Q0", "1"])
             captured = capsys.readouterr()
             assert code == 7
             assert captured.out == ""
             assert captured.err.count("\n") == 1
             err = json.loads(captured.err)
             assert err["error"] == "numerical-blowup"
-            assert "peak amplitude" in err["message"]
+            assert "trace modulus" in err["message"]
             assert not out.exists()
             # the step's factors stay finite at strong coupling, where this
             # short record has no line above the band
@@ -425,7 +407,6 @@ RANGE_ERRORS = [
     ("simulate", "--steps", str(2**62), "MAX_STEPS"),
     ("simulate", "--dt", "nan", "dt"),
     ("simulate", "--dt", "-1e-3", "dt"),
-    ("simulate", "--amplitude", "inf", "state values"),
     ("compare", "--Q0", "nan", "Q0"),
     ("compare", "--k-lambda", "inf", "k_lambda_d"),
 ]
@@ -540,13 +521,6 @@ DT_TEXT = st.one_of(
     st.floats(min_value=5e-324, max_value=0.05).map(repr),
     st.sampled_from(["nan", "inf", "-inf", "-0.01", "0", "5e-324", "0.05", "0.05000000000000001"]),
 )
-# zero, and both signs over the whole positive float range, by decade
-AMPLITUDE_TEXT = st.one_of(
-    st.just("0"),
-    st.builds(lambda sign, e: repr(sign * 10.0**e),
-              st.sampled_from((1.0, -1.0)), st.floats(-323.3, 308.25)),
-    st.floats(min_value=5e-324, max_value=sys.float_info.max).map(repr),
-)
 # Q0 = 1, where DT_TEXT is aimed, or over the whole positive float range
 Q0_TEXT = st.one_of(
     st.just("1"),
@@ -560,12 +534,12 @@ SUMMARY_TEXT_FIELDS = {"window", "analytic_method"}
 @settings(max_examples=100, deadline=None)
 @given(q0=Q0_TEXT, n_mu=st.integers(4, 64),
        steps=st.one_of(st.integers(2, 4096), st.integers(1024, 4096)),
-       dt=DT_TEXT, amplitude=AMPLITUDE_TEXT)
-def test_kinetic_commands_end_in_a_result_or_a_labeled_error(q0, n_mu, steps, dt, amplitude):
+       dt=DT_TEXT)
+def test_kinetic_commands_end_in_a_result_or_a_labeled_error(q0, n_mu, steps, dt):
     knobs = [f"--Q0={q0}", f"--n-mu={n_mu}", f"--steps={steps}", *([f"--dt={dt}"] if dt else [])]
     with tempfile.TemporaryDirectory() as tmp:
         trace = Path(tmp) / "t.csv"
-        code, out, err = _main(["simulate", *knobs, f"--amplitude={amplitude}", f"--out={trace}"])
+        code, out, err = _main(["simulate", *knobs, f"--out={trace}"])
         if code == 0:
             assert err == ""
             summary = json.loads(out)

@@ -715,3 +715,37 @@ class TestSpectralPeak:
         k_min = int(math.floor(1.0 / d_omega)) + 1
         j = k_min + int(np.argmax(mag[k_min : n_pad // 2]))
         assert abs(peak.frequency - j * d_omega) <= (0.5 + 1e-12) * d_omega
+
+
+def _isotropic_peak(amplitude):
+    """spectral_peak of the isotropic state times amplitude: N = 32, 2048 steps at A = 1."""
+    state = AngularState(np.full(32, amplitude, dtype=np.complex128))
+    series = evolve_initial_value(1.0, build_angular_grid(32), state, stability_bound(1.0), 2048)
+    return spectral_peak(series)
+
+
+class TestInitialAmplitude:
+    # the evolution is linear and runs at unit scale, so the amplitude of the
+    # state scales the trace and the peak amplitude and leaves the line alone
+    def test_zero_state_has_no_peak(self):
+        with pytest.raises(NoCollectivePeakError):
+            _isotropic_peak(0.0)
+
+    @pytest.mark.parametrize("amplitude", [2.0**-500, 1e-300, 1e300])
+    def test_peak_does_not_depend_on_amplitude(self, amplitude):
+        unit, scaled = _isotropic_peak(1.0), _isotropic_peak(amplitude)
+        assert abs(scaled.frequency - unit.frequency) <= 1e-12
+        assert scaled.amplitude == pytest.approx(amplitude * unit.amplitude, rel=1e-12, abs=0.0)
+
+    def test_amplitude_at_the_edges_of_the_float_range(self):
+        unit = _isotropic_peak(1.0)
+        # a power of two scales the unit-scaled state exactly
+        assert _isotropic_peak(2.0**1016).frequency == unit.frequency
+        # any other factor changes its mantissa, so the line moves by rounding
+        assert abs(_isotropic_peak(1e306).frequency - unit.frequency) <= 1e-12
+        # a trace of subnormal samples still carries the line
+        peak = _isotropic_peak(5e-324)
+        assert abs(peak.frequency - solve_zero_sound(1.0).S) <= peak.bin_width
+        # the peak amplitude of a 1e308 state lies above the float range
+        with pytest.raises(NumericalBlowupError, match="peak amplitude"):
+            _isotropic_peak(1e308)

@@ -39,8 +39,7 @@ OPTIONS = {
     "solve": {"--tol", "--params-file", "--Q0", "--k-lambda"},
     "scan": {"--tol", "--params-file", "--Q0", "--k-min", "--k-max", "--points", "--log",
              "--out", "--format"},
-    "simulate": {"--tol", "--Q0", "--k-lambda", "--n-mu", "--dt", "--steps", "--amplitude",
-                 "--out"},
+    "simulate": {"--tol", "--Q0", "--k-lambda", "--n-mu", "--dt", "--steps", "--out"},
     "compare": {"--tol", "--params-file", "--Q0", "--k-lambda", "--n-mu", "--dt", "--steps",
                 "--mass-convention", "--out", "--format"},
 }
@@ -148,7 +147,7 @@ def test_time_domain_oracle_stays_independent():
                 node.id for node in ast.walk(functions[name])
                 if isinstance(node, ast.Name) and node.id in functions
             )
-    assert "_row_powers" in reached  # the walk follows helpers
+    assert "_block_size" in reached  # the walk follows helpers
     assert not reached & {"secular_sum", "discrete_collective_root"}
 
 
