@@ -55,9 +55,6 @@ _LN2 = math.log(2.0)
 _MIN_COUPLING = math.nextafter(2.0 / sys.float_info.max, 1.0)
 # largest GridSpec.count: a scan solves and prints one row per point
 MAX_SCAN_POINTS = 2**20
-# below this coupling the weak-coupling closed form is tried first: its
-# residual there is at most 8.9e-16, and it stays evaluable when S - 1 underflows
-_CLOSED_FORM_BELOW = 0.06
 
 
 @_record
@@ -163,26 +160,16 @@ def asymptotic_zero_sound(coupling):
 def solve_zero_sound(coupling, config=None):
     """Root of 1 = A F(S) above the continuum, to |residual| <= config.tolerance.
 
-    Below A = 0.06 the closed form asymptotic_zero_sound is returned if its
-    residual meets the tolerance (at the default 1e-12 it always does);
-    otherwise a Newton-bisection search runs on v = ln(S - 1), with one
-    last Newton step taken on S itself where S >= 2.  Raises
-    NoUndampedRootError for A <= 0, InvalidArgumentError below the smallest
-    supported coupling and ConvergenceError if no point meets the tolerance.
+    Safeguarded Newton steps on v = ln(S - 1) (_roots.edge_root), with one
+    last Newton step taken on S itself where S >= 2.  Below A = 0.06 the
+    start is the weak-coupling closed form, so a root there takes one to
+    three residuals; from 0.06 to 1e3 about 5.  The search's pushes grow
+    with |v|, so it solves every supported A.  Raises NoUndampedRootError
+    for A <= 0, InvalidArgumentError below the smallest supported coupling
+    and ConvergenceError if no point meets the tolerance.
     """
     c = _positive_coupling(coupling)
     tolerance = config.tolerance if config is not None else SolverConfig.tolerance
-    if c.A < _CLOSED_FORM_BELOW:
-        point = asymptotic_zero_sound(c)
-        if abs(point.residual) <= tolerance:
-            return point
-    return _exact_zero_sound(c, tolerance)
-
-
-def _exact_zero_sound(coupling, tolerance=SolverConfig.tolerance):
-    # Newton-bisection on v = ln(S - 1), about 5 residuals per root for A in
-    # [0.06, 1e3]; its pushes grow with |v|, so it solves every supported A
-    c = _positive_coupling(coupling)
     a = c.A
     S, v, residual, bracket = edge_root(lambda v: _residual_log(v, a), a, 1.0, -math.inf,
                                         f"ln(S - 1) at A = {a!r}")

@@ -173,7 +173,7 @@ class FermiParameters:
 
     def __post_init__(self):
         values = self.__dict__
-        for name in ("m", "m_star", "p_F", "n0", "hbar"):
+        for name in self.__match_args__:
             values[name] = _require_positive(name, values[name])
 
     @property
@@ -326,9 +326,6 @@ def physical_frequency(S, k_lambda_d, params):
     return _require_finite("S", S) * k * params.v_F
 
 
-_PARAMETER_KEYS = ("m", "m_star", "p_F", "n0", "hbar")
-
-
 def load_parameter_file(path):
     """Read a flat ``key = value`` text file into FermiParameters.
 
@@ -350,7 +347,7 @@ def load_parameter_file(path):
             raise InvalidArgumentError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
         key, _, text = line.partition("=")
         key = key.strip()
-        if key not in _PARAMETER_KEYS:
+        if key not in FermiParameters.__match_args__:
             raise InvalidArgumentError(f"{path}:{lineno}: unknown parameter {key!r}")
         if key in values:
             raise InvalidArgumentError(f"{path}:{lineno}: duplicate parameter {key!r}")
@@ -359,7 +356,7 @@ def load_parameter_file(path):
         except ValueError as exc:
             raise InvalidArgumentError(f"{path}:{lineno}: bad numeric literal {text.strip()!r}") from exc
 
-    missing = [k for k in _PARAMETER_KEYS if k not in values]
+    missing = [k for k in FermiParameters.__match_args__ if k not in values]
     if missing:
         raise InvalidArgumentError(f"{path}: missing parameters: {', '.join(missing)}")
     return FermiParameters(**values)

@@ -55,7 +55,7 @@ class TestSolve:
     def test_quantum_underflow_path(self, capsys):
         assert main(["solve", "--Q0", "0", "--k-lambda", "0.1"]) == 0
         data = json.loads(capsys.readouterr().out)
-        assert data["method"] == "asymptotic-zero-sound"
+        assert data["method"] == "exact"
         assert data["S_minus_1"] == pytest.approx(4.1742570659665503e-117, rel=1e-14)
         assert data["log_excess"] < -200.0
 
@@ -100,23 +100,24 @@ class TestSolve:
             assert "smallest supported coupling" in err["message"]
 
     def test_residual_flat_to_rounding_near_the_smallest_coupling(self):
-        # the closed form's residual is 0 at A = 2.2e-308, so it meets every
-        # --tol; test_dispersion runs the exact branch there
+        # the residual is 0 at the closed-form start for A = 2.2e-308, so the
+        # root meets every --tol
         for tol in ("1.0", "1e-12", "5e-324"):
             code, out, err = _main(["solve", "--Q0", "2.2e-308", "--tol", tol])
             assert (code, err) == (0, "")
             data = json.loads(out)
-            assert data["method"] == "asymptotic-zero-sound"
+            assert data["method"] == "exact"
             assert data["residual"] == 0.0
 
     def test_every_returned_root_meets_the_tolerance(self, capsys):
-        # the closed form misses 1e-16 at A = 0.0598 (-8.9e-16), so the
-        # exact branch answers
+        # the closed form misses 1e-16 at A = 0.0598 (-8.9e-16); the root
+        # meets it, and is the same point at the default tolerance
         assert main(["solve", "--Q0", "0.0598", "--tol", "1e-16"]) == 0
-        data = json.loads(capsys.readouterr().out)
+        tight = capsys.readouterr().out
+        data = json.loads(tight)
         assert (data["method"], data["residual"]) == ("exact", 0.0)
         assert main(["solve", "--Q0", "0.0598"]) == 0
-        assert json.loads(capsys.readouterr().out)["method"] == "asymptotic-zero-sound"
+        assert capsys.readouterr().out == tight
         # no point meets 1e-300 at A = 0.7 (the root's residual is -4.4e-16)
         assert main(["solve", "--Q0", "0.7", "--tol", "1e-300"]) == 4
         assert json.loads(capsys.readouterr().err)["error"] == "convergence"
@@ -213,7 +214,7 @@ class TestScan:
             assert row[6] == "error"
             assert row[1] == "0"
             assert row[3:6] == ["nan"] * 3 and row[7] == "nan"
-        assert rows[3][0] == "1e-150" and rows[3][6] == "asymptotic-zero-sound"
+        assert rows[3][0] == "1e-150" and rows[3][6] == "exact"
         assert main([*args, "--format", "json"]) == 0
         failures = json.loads(capsys.readouterr().out)["failures"]
         assert [f["k_lambda_d"] for f in failures] == [float(row[0]) for row in rows[:3]]
@@ -344,14 +345,18 @@ class TestCompare:
         assert time_row[0] == "time-domain"
         assert time_row[4] == "no-collective-peak"
 
-    def test_closed_form_rows_identical_below_a_0_06(self, capsys):
-        # below A = 0.06 the exact row is the closed form, which meets --tol
+    def test_exact_row_is_the_root_below_a_0_06(self, capsys):
+        # below A = 0.06 the exact row is the solved root, not a copy of the
+        # closed form: S - 1 ~ 1.2e-18 differs in its last digits
         main(["compare", "--Q0", "0.05", "--k-lambda", "0.01", "--n-mu", "16", "--steps", "2048"])
         lines = capsys.readouterr().out.splitlines()
         exact = lines[1].split(",")
         asym = lines[2].split(",")
-        assert exact[1] == asym[1]  # identical S text, hence identical bytes
-        assert float(exact[6]) == 0.0  # deviation against the asymptotic row
+        coupling = coupling_strength(InteractionModel(0.05), 0.01)
+        assert float(exact[2]) == solve_zero_sound(coupling).S_minus_1
+        assert float(asym[2]) == asymptotic_zero_sound(coupling).S_minus_1
+        assert exact[2] != asym[2]
+        assert float(exact[2]) == pytest.approx(float(asym[2]), rel=1e-14)
 
     def test_time_domain_row_is_the_simulate_peak(self, tmp_path, capsys):
         flags = ["--Q0", "1", "--n-mu", "32", "--steps", "2048"]
@@ -491,19 +496,15 @@ FLOAT_TEXT = st.one_of(
 
 @settings(max_examples=300, deadline=None)
 @given(q0=FLOAT_TEXT, k=FLOAT_TEXT, tol=FLOAT_TEXT)
-@example(q0="0.0598", k="0", tol="1e-16")  # the closed form's residual is -8.9e-16 here
+@example(q0="0.0598", k="0", tol="1e-16")  # the closed-form start's residual is -8.9e-16 here
 def test_solve_ends_in_a_result_or_a_labeled_error(q0, k, tol):
     # the "--flag=value" form; main also joins "--flag -1e-05" into it
     code, out, err = _main(["solve", f"--Q0={q0}", f"--k-lambda={k}", f"--tol={tol}"])
     if code == 0:
         assert err == ""
         point = DispersionPoint.from_json_dict(json.loads(out))
-        # every returned point meets --tol, the closed form included
-        assert abs(point.residual) <= float(tol)
-        if point.method.value != "exact":
-            assert point.A < 0.06
-            coupling = coupling_strength(InteractionModel(point.Q0), point.k_lambda_d)
-            assert point == asymptotic_zero_sound(coupling)
+        # every returned point is a root that meets --tol
+        assert point.method.value == "exact" and abs(point.residual) <= float(tol)
         assert math.isfinite(point.S)
     else:
         assert code in (2, 3, 4)

@@ -41,7 +41,6 @@ from zerosound import (
 )
 from zerosound import _roots, dispersion
 from zerosound._roots import edge_root, increasing_root
-from zerosound.dispersion import _exact_zero_sound
 
 
 def _mpmath_root(a, v_start):
@@ -165,23 +164,24 @@ class TestSolveZeroSound:
         point = solve_zero_sound(A)
         assert point.S_minus_1 == pytest.approx(expected, rel=1e-12)
 
-    def test_exact_path_above_switch_asymptotic_below(self):
-        assert solve_zero_sound(0.06).method is Method.EXACT
-        assert solve_zero_sound(0.059).method is Method.ASYMPTOTIC_ZERO_SOUND
+    def test_exact_path_above_and_below_0_06(self):
+        for a in (0.06, math.nextafter(0.06, 0.0), 0.059):
+            assert solve_zero_sound(a).method is Method.EXACT
 
     def test_closed_form_meets_the_default_tolerance_below_0_06(self):
-        # so the default tolerance always takes the closed form there; its
-        # worst residual is 4 ulp of 1, -8.9e-16 (at A = 0.0598 for one)
+        # the closed form's worst residual here is 4 ulp of 1, -8.9e-16 (at
+        # A = 0.0598 for one); the root it starts from meets the same bound
         rng = np.random.default_rng(13)
         exponents = rng.uniform(math.log10(dispersion._MIN_COUPLING), math.log10(0.06), 20000)
         for a in [*(10.0**exponents), 0.0598, math.nextafter(0.06, 0.0)]:
             assert abs(asymptotic_zero_sound(float(a)).residual) <= 8.9e-16, a
-            assert solve_zero_sound(float(a)).method is Method.ASYMPTOTIC_ZERO_SOUND
+            point = solve_zero_sound(float(a))
+            assert point.method is Method.EXACT and abs(point.residual) <= 8.9e-16, a
 
     def test_a_tolerance_the_closed_form_misses_runs_the_exact_branch(self):
         assert asymptotic_zero_sound(0.0598).residual == -8.881784197001252e-16
         point = solve_zero_sound(0.0598, SolverConfig(tolerance=1e-16))
-        assert point == _exact_zero_sound(0.0598, 1e-16)
+        assert point == solve_zero_sound(0.0598)
         assert point.method is Method.EXACT and point.residual == 0.0
         # where neither meets the tolerance, the error is labeled
         assert solve_zero_sound(0.7).residual == -4.440892098500626e-16
@@ -197,9 +197,9 @@ class TestSolveZeroSound:
         assert point.S_minus_1 == 0.0
         assert point.log_excess == pytest.approx(math.log(2.0) - 2002.0, rel=1e-15)
         assert point.above_continuum
-        # the exact branch too, where ln(S - 1) ~ -2/A outgrows any fixed bracket step
+        # down to the smallest couplings, where ln(S - 1) ~ -2/A outgrows any fixed bracket step
         for a in (1e-17, 1e-100, 1e-300, 1.2e-308):
-            point = _exact_zero_sound(a)
+            point = solve_zero_sound(a)
             assert point.method is Method.EXACT
             assert abs(point.residual) <= 1e-12
             assert point.log_excess == pytest.approx(math.log(2.0) - 2.0 - 2.0 / a, rel=1e-12)
@@ -208,14 +208,12 @@ class TestSolveZeroSound:
     def test_coupling_below_the_smallest_supported_is_rejected(self):
         smallest = 1.112536929253601e-308
         assert math.isfinite(2.0 / smallest)
-        assert _exact_zero_sound(smallest).method is Method.EXACT
+        assert solve_zero_sound(smallest).method is Method.EXACT
         for a in (math.nextafter(smallest, 0.0), 1e-309, 5e-324):
             assert math.isinf(2.0 / a)
             for solve in (solve_zero_sound, asymptotic_zero_sound):
                 with pytest.raises(InvalidArgumentError, match="1.112536929253601e-308"):
                     solve(a)
-            with pytest.raises(InvalidArgumentError):
-                _exact_zero_sound(a)
 
     def test_no_root_for_nonpositive_coupling(self):
         for a in (0.0, -1.0):
@@ -232,19 +230,25 @@ class TestSolveZeroSound:
         assert dispersion._residual_log(lo, 1.0)[0] < 0.0 and hi == math.inf
 
     def test_residual_evaluations_per_exact_root(self, monkeypatch):
-        # Newton steps from the closed-form or large-S start need 4.6
-        # residuals per root here on average, and at most 9
         calls = []
         residual = dispersion._residual_log
         monkeypatch.setattr(dispersion, "_residual_log", lambda v, a: calls.append(v) or residual(v, a))
-        counts = []
-        for a in np.logspace(math.log10(0.06), 3.0, 200):
-            calls.clear()
-            point = solve_zero_sound(float(a))
-            assert point.method is Method.EXACT
-            assert len(calls) <= 10, (a, len(calls))
-            counts.append(len(calls))
-        assert sum(counts) <= 6 * len(counts)
+        for lo, hi, most, mean in (
+            # Newton steps from the closed-form or large-S start need 4.6
+            # residuals per root here on average, and at most 9
+            (0.06, 1e3, 10, 6.0),
+            # below 0.06 the closed-form start is the root or one step from
+            # it: 1.1 residuals per root here on average
+            (dispersion._MIN_COUPLING, 0.06, 2, 1.2),
+        ):
+            counts = []
+            for a in np.logspace(math.log10(lo), math.log10(hi), 200):
+                calls.clear()
+                point = solve_zero_sound(float(a))
+                assert point.method is Method.EXACT
+                assert len(calls) <= most, (a, len(calls))
+                counts.append(len(calls))
+            assert sum(counts) <= mean * len(counts), (lo, hi)
 
     @pytest.mark.parametrize("a", [1e50, 1e158, 1e230, 1e300, sys.float_info.max])
     def test_strong_coupling_root_to_rounding(self, a):
@@ -264,11 +268,11 @@ class TestSolveZeroSound:
             assert abs(point.log_excess - v) <= 1.5e-15 * max(1.0, abs(v)), a
 
     def test_residual_flat_to_rounding_near_the_smallest_coupling(self):
-        # at A = 2.2e-308 the root is ln(S - 1) ~ -9.1e307, where the slopes
-        # between bracket ends underflow: the inverse quadratic step has a
-        # zero denominator and the search must bisect instead
-        for tolerance in (1.0, 1e-12):
-            point = _exact_zero_sound(2.2e-308, tolerance)
+        # at A = 2.2e-308 the root is ln(S - 1) ~ -9.1e307, where the residual
+        # changes by rounding only over many ulps of ln(S - 1); the closed-form
+        # start already gives a residual of 0
+        for tolerance in (1.0, 1e-12, 5e-324):
+            point = solve_zero_sound(2.2e-308, SolverConfig(tolerance=tolerance))
             assert point.method is Method.EXACT
             assert abs(point.residual) <= tolerance
             assert point.log_excess == pytest.approx(math.log(2.0) - 2.0 - 2.0 / 2.2e-308, rel=1e-12)
@@ -292,15 +296,15 @@ class TestSolveZeroSound:
             st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),  # subnormals too
             st.floats(min_value=5e-324, max_value=1.2e-307),  # around the smallest supported
             st.floats(min_value=1e-3, max_value=1e3),
-            st.floats(min_value=0.05, max_value=0.07),  # around the closed-form limit
+            st.floats(min_value=0.05, max_value=0.07),  # where the closed-form start is a few ulp off
         ),
         tolerance=st.one_of(
             st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
             st.floats(min_value=1e-16, max_value=1e-6),
-            st.floats(min_value=1e-18, max_value=1e-15),  # about the closed form's residuals
+            st.floats(min_value=1e-18, max_value=1e-15),  # about a root's rounding residual
         ),
     )
-    @example(a=0.0598, tolerance=1e-16)  # the closed form's residual is -8.9e-16 here
+    @example(a=0.0598, tolerance=1e-16)  # the closed-form start's residual is -8.9e-16 here
     @settings(max_examples=500, deadline=None)
     def test_ends_in_a_checked_point_or_a_labeled_error(self, a, tolerance):
         try:
@@ -311,10 +315,8 @@ class TestSolveZeroSound:
                 assert math.isinf(2.0 / a)  # below the smallest supported coupling
             return
         assert point.A == a
-        # every returned point meets the tolerance, the closed form included
-        assert abs(point.residual) <= tolerance
-        if point.method is not Method.EXACT:
-            assert point.method is Method.ASYMPTOTIC_ZERO_SOUND and a < 0.06
+        # every returned point is a root that meets the tolerance
+        assert point.method is Method.EXACT and abs(point.residual) <= tolerance
         # log_excess is ln(S_minus_1) within the sweep benchmark's allowance
         v, excess = point.log_excess, point.S_minus_1
         slack = 1e-12 * max(1.0, abs(v)) * excess + 2.0 * math.ulp(excess)
@@ -446,7 +448,7 @@ class TestAsymptoticZeroSound:
     def test_weak_coupling_accuracy_improves_toward_zero(self):
         deviations = []
         for a in (0.3, 0.2, 0.1, 0.06):
-            exact_u = _exact_zero_sound(a).S_minus_1
+            exact_u = solve_zero_sound(a).S_minus_1
             asym_u = asymptotic_zero_sound(a).S_minus_1
             deviations.append(abs(asym_u - exact_u) / exact_u)
         assert all(d <= 0.05 for d in deviations)
