@@ -29,11 +29,15 @@ def edge_root(f, a, edge, low, what):
     The start is the largest of low, the caller's estimate of w, ln 2 - 2 - 2/A
     (weak coupling) and ln(S_e - 1), with 1/S_e^2 = x from x/3 + x^2/5 = 1/A.
     w holds S to one ulp of w, so for S >= 2 a Newton step on S, dS = e^w dw
-    (dr/dS underflows from A ~ 1e230), resolves it to rounding.  Returns (S, w, r at w, bracket).
+    (dr/dS underflows from A ~ 1e230), resolves it to rounding.  Returns (S, w, r at w, bracket);
+    a ConvergenceError from the search is raised again with " at A = ..." appended.
     """
     S = math.sqrt(a / 6.0 + math.sqrt(a / 6.0) * math.sqrt((a + 7.2) / 6.0))
     w = max(low, math.log(2.0) - 2.0 - 2.0 / a, math.log(S - 1.0) if S > 1.0 else -math.inf)
-    w, (residual, slope), bracket = increasing_root(f, w, what)
+    try:
+        w, (residual, slope), bracket = increasing_root(f, w, what)
+    except ConvergenceError as error:  # the coupling is named only on failure
+        raise ConvergenceError(f"{error} at A = {a!r}", error.bracket) from None
     u = math.exp(w)  # may underflow; S then rounds to the edge
     S = edge + u
     if S >= 2.0:

@@ -171,8 +171,7 @@ def solve_zero_sound(coupling, config=None):
     c = _positive_coupling(coupling)
     tolerance = config.tolerance if config is not None else SolverConfig.tolerance
     a = c.A
-    S, v, residual, bracket = edge_root(lambda v: _residual_log(v, a), a, 1.0, -math.inf,
-                                        f"ln(S - 1) at A = {a!r}")
+    S, v, residual, bracket = edge_root(lambda v: _residual_log(v, a), a, 1.0, -math.inf, "ln(S - 1)")
     u = math.exp(v)
     if S >= 2.0:  # the closing step on S moved S off v
         residual, u = 1.0 - _kernel_series(S, a)[0], S - 1.0

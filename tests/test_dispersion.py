@@ -428,6 +428,17 @@ class TestEdgeRoot:
         else:  # the closing step on S resolves it to rounding
             assert S == pytest.approx(float(exact), rel=2 * sys.float_info.epsilon, abs=0.0)
 
+    def test_a_failed_search_names_the_coupling(self, monkeypatch):
+        # the search's label gets " at A = ..." only when it fails, with the search's bracket
+        with pytest.raises(ConvergenceError) as info:
+            edge_root(lambda w: (1.0, 0.0), 2.5, 1.0, -math.inf, "constant")
+        lo, hi = info.value.bracket
+        assert str(info.value) == f"no sign change below {hi!r} in constant at A = 2.5" and lo == -math.inf
+        monkeypatch.setattr(_roots, "_MAX_EXPANSIONS", 1)
+        with pytest.raises(ConvergenceError) as info:
+            solve_zero_sound(1.0)
+        assert str(info.value) == f"no sign change above {info.value.bracket[0]!r} in ln(S - 1) at A = 1.0"
+
     def test_the_start_is_the_largest_estimate(self):
         # the caller's low estimate wins over ln 2 - 2 - 2/A and ln(S_e - 1)
         calls = []

@@ -14,6 +14,7 @@ from zerosound import (
     MAX_GRID_SIZE,
     MAX_STEPS,
     AngularState,
+    ConvergenceError,
     DomainError,
     InvalidArgumentError,
     NoCollectivePeakError,
@@ -29,7 +30,7 @@ from zerosound import (
     spectral_peak,
     stability_bound,
 )
-from zerosound.kinetic import _block_size, _padded_length
+from zerosound.kinetic import _block_size, _legendre, _legendre_near_one, _padded_length
 
 
 def _reference_rule(n, digits=40):
@@ -57,6 +58,37 @@ def _reference_rule(n, digits=40):
         lower = [(-x, w) for x, w in half[: n // 2]]
         rule = lower + half[::-1]
         return [x for x, _ in rule], [w for _, w in rule]
+
+
+def _converged_rule(n):
+    """Gauss-Legendre nodes and weights with Newton steps repeated until converged.
+
+    The same start, recurrences, closing step and weights as
+    build_angular_grid, but the steps before the closing one go on until
+    the largest relative step dx / (1 - x^2) is below 1e-5, at most 8 times.
+    """
+    x = np.cos(np.pi * (np.arange(1, (n + 1) // 2 + 1) - 0.25) / (n + 0.5))
+    x *= 1.0 - (n - 1) / (8.0 * n**3)
+    if n % 2:
+        x[-1] = 0.0
+    for _ in range(8):
+        p, r = _legendre(x, n)
+        d = (1.0 - x) * (1.0 + x)
+        dx = p * d / (n * r)
+        x = x - dx
+        if np.max(np.abs(dx) / d) <= 1e-5:
+            break
+    near_one = x >= 0.5
+    p, r = np.empty_like(x), np.empty_like(x)
+    p[near_one], r[near_one] = _legendre_near_one(x[near_one], n)
+    p[~near_one], r[~near_one] = _legendre(x[~near_one], n)
+    d = (1.0 - x) * (1.0 + x)
+    q = n * r
+    dx = p * d / q
+    w = 2.0 * d / (q * q) * (1.0 + 2.0 * x * dx / d)
+    x = x - dx
+    m = n // 2
+    return np.concatenate((-x[:m], x[::-1])), np.concatenate((w[:m], w[::-1]))
 
 
 def _four_stage_rk4_trace(y, mu, half_w, a, dt, steps):
@@ -144,6 +176,14 @@ class TestAngularGrid:
         assert grid.nodes.tolist() == [-0.5, 0.0, 0.5] and grid.weights.tolist() == [0.5, 1.0, 0.5]
         for array in (grid.nodes, grid.weights, build_angular_grid(8).nodes):
             assert not array.flags.writeable
+
+    def test_two_newton_steps_give_the_converged_rule(self):
+        # the grid takes two Newton steps before its closing one; stepping on
+        # until the step is below 1e-5 gives the same bits
+        for n in [*range(4, 257), 400, 401, 1000, 2048]:
+            g = build_angular_grid(n)
+            nodes, weights = _converged_rule(n)
+            assert np.array_equal(g.nodes, nodes) and np.array_equal(g.weights, weights), n
 
     @pytest.mark.parametrize("n", [8, 33, 64, 128, 400])
     def test_matches_a_40_digit_reference(self, n):
@@ -274,6 +314,13 @@ class TestDiscreteCollectiveRoot:
         g = build_angular_grid(8)
         with pytest.raises(NoUndampedRootError):
             discrete_collective_root(0.0, g)
+
+    def test_a_failed_search_names_the_coupling(self, monkeypatch):
+        monkeypatch.setattr(zerosound._roots, "_MAX_EXPANSIONS", 1)
+        with pytest.raises(ConvergenceError) as info:
+            discrete_collective_root(1.0, build_angular_grid(16))
+        lo, hi = info.value.bracket
+        assert str(info.value) == f"no sign change above {lo!r} in ln(S - mu_max) at A = 1.0" and hi == math.inf
 
     def test_a_residual_flat_below_the_root(self):
         # here the Newton steps from below stop on a value of S whose
