@@ -1,7 +1,7 @@
 """Discrete kinetic description of the mode, independent of the solver.
 
-The linearized kinetic equation on N Gauss-Legendre direction nodes
-mu_i = cos(theta_i),
+The linearized kinetic equation on N tanh-sinh direction nodes
+mu_i = cos(theta_i), graded toward the band edges mu = +-1,
 
     dF_i/dt = -i mu_i (F_i + A <F>),      <F> = (1/2) sum_j w_j F_j,
 
@@ -53,11 +53,15 @@ __all__ = [
 
 BACKEND = "numpy"  # the one evolution path, _rk4_trace below
 
-# size ceilings, checked before anything is allocated: the grid build is
-# O(N^2) vector work (about 30 s at the ceiling), and the trace of
+# size ceilings, checked before anything is allocated: the grid is built in
+# closed form, O(N) (about 2.5 ms at the ceiling), and the trace of
 # MAX_STEPS steps holds 256 MiB before its transform, zero-padded to at least 4x
 MAX_GRID_SIZE = 2**16
 MAX_STEPS = 2**24
+
+# the largest top node of the grid, 1 - 2^-52: s = 26.5 ln 2, t = asinh(53 ln 2 / pi) = 3.154
+_S_MAX = 26.5 * math.log(2.0)
+_T_MAX = math.asinh(_S_MAX / (math.pi / 2))
 
 
 @_record
@@ -85,76 +89,44 @@ class AngularGrid:
         return self.nodes.shape[0]
 
 
-def _legendre(x, n):
-    import numpy as np
-    # P_n(x) and P_{n-1}(x) - x P_n(x) = (1 - x^2) P_n'(x) / n from the
-    # three-term recurrence k P_k = (2k - 1) x P_{k-1} - (k - 1) P_{k-2}
-    p0, p1 = np.ones_like(x), x
-    for k in range(2, n + 1):
-        p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-    return p1, p0 - x * p1
-
-
-def _legendre_near_one(x, n):
-    # the same pair from the recurrence for D_k = P_k - P_{k-1} in t = 1 - x
-    # (Reinsch's modification): t is exact for x >= 1/2, and the rounding
-    # error stays relative to the small D_k instead of to P_k ~ 1
-    t = 1.0 - x
-    p, dk = x, -t
-    for k in range(2, n + 1):
-        dk = ((k - 1) * dk - (2 * k - 1) * t * p) / k
-        p = p + dk
-    return p, t * p - dk
-
-
-def _gauss_legendre(n):
-    import numpy as np
-    # Newton on P_n over the non-negative half of the nodes, largest first,
-    # from Tricomi's guess; the half is mirrored, so the rule is exactly
-    # symmetric and an odd rule has the node 0.0
-    x = np.cos(np.pi * (np.arange(1, (n + 1) // 2 + 1) - 0.25) / (n + 0.5))
-    x *= 1.0 - (n - 1) / (8.0 * n**3)
-    if n % 2:
-        x[-1] = 0.0
-    # the relative step dx / (1 - x^2) squares from one step to the next: at
-    # every size from 4 to 4096, and at 8192, 20000 and 65536, the first is
-    # at most 1.6e-3 and the second at most 2.6e-6, after which the closing
-    # step below meets the rounding floor
-    for _ in range(2):
-        p, r = _legendre(x, n)
-        d = (1.0 - x) * (1.0 + x)
-        dx = p * d / (n * r)
-        x = x - dx
-    near_one = x >= 0.5
-    p, r = np.empty_like(x), np.empty_like(x)
-    p[near_one], r[near_one] = _legendre_near_one(x[near_one], n)
-    p[~near_one], r[~near_one] = _legendre(x[~near_one], n)
-    d = (1.0 - x) * (1.0 + x)
-    q = n * r
-    dx = p * d / q
-    # w = 2 / ((1 - x^2) P_n'(x)^2), taken at the unrounded root x - dx: at a
-    # root d ln w / dx = -2x / (1 - x^2), which near x = 1 turns a sub-ulp
-    # dx into a relative weight change far above rounding
-    w = 2.0 * d / (q * q) * (1.0 + 2.0 * x * dx / d)
-    x = x - dx
-    m = n // 2
-    return np.concatenate((-x[:m], x[::-1])), np.concatenate((w[:m], w[::-1]))
-
-
 def build_angular_grid(size):
-    """Gauss-Legendre grid of the given order; 4 to MAX_GRID_SIZE nodes.
+    """Tanh-sinh grid of the given size; 4 to MAX_GRID_SIZE nodes.
 
-    Nodes and weights come from two Newton steps on the Legendre
-    three-term recurrence from Tricomi's estimate, then one closing step,
-    taken for mu >= 1/2 on the recurrence's form in 1 - mu.  Against a
-    40-digit reference, for every size from 4 to 400, the nodes lie within
-    0.6 ulp for |mu| >= 1/2 and within 5 ulp closer to 0, and the weights
-    within 3e-16 absolute; at the sizes 500, 600, ..., 2000 the same holds
-    except that the nodes closer to 0 reach 6.6 ulp.  An odd grid has the
-    node 0.0.
+    mu = tanh(s) and w = h (pi/2) cosh t / cosh(s)^2 with s = (pi/2) sinh t
+    (Takahasi & Mori, Publ. RIMS 9, 1974), at equal steps h in t: offsets
+    (j - 1/2) h for an even size, j h and the node 0.0 (weight h pi/2) for
+    an odd one, mirrored about 0.  The gaps 1 - mu ~ 2 e^-2s shrink double
+    exponentially toward mu = +-1, so the rule resolves the logarithm of the
+    kernel down to its top gap, 1 - mu_max = 2^-52, and with it a secular
+    root just above the band edge.  From 477 nodes on the top offset
+    shrinks, to t = 3.00 at the ceiling, so that the top nodes stay
+    distinct floats: the top gap stays 2^-52 up to 571 nodes and widens
+    to 3.9e-14 at the ceiling.  The nodes are formed as 1 - 2/(e^2s + 1),
+    rounded once near 1.
+
+    The rule is exact for no polynomial.  |sum w - 2| and |sum w mu^2 - 2/3|
+    are at most 1.3 and 0.7 from 4 nodes, 1.4e-2 and 0.16 from 8, 2.4e-7
+    and 5.3e-5 from 16, 2e-12 and 2.5e-9 from 24, and 1e-15 and 5.5e-14
+    from 32.  From 40 nodes on both are within 2 (1 - mu_max) + 1e-15, the
+    measure the top gaps leave out plus rounding: 1.5e-15 up to 571 nodes,
+    8e-14 at the ceiling.
     """
+    import numpy as np
     size = _require_count("grid size", size, 4, "MAX_GRID_SIZE", MAX_GRID_SIZE)
-    return AngularGrid(*_gauss_legendre(size))
+    m, odd = divmod(size, 2)
+    steps = m if odd else m - 0.5  # t_max / h
+    # the true top gaps 2 e^-2s and 2 e^-2(s - ds) differ by 2 e^-2s (e^2ds - 1),
+    # kept at 1.25 floats (2^-53) or more with ds taken at the largest t_max;
+    # that ds runs up to 22% high (at the ceiling, where they differ by 1.02
+    # floats), so the top nodes round to distinct floats
+    ds = math.pi / 2 * (math.sinh(_T_MAX) - math.sinh(_T_MAX - _T_MAX / steps))
+    s_max = _S_MAX + 0.5 * min(0.0, math.log(1.6 * math.expm1(2.0 * ds)))
+    h = math.asinh(s_max / (math.pi / 2)) / steps
+    t = h * (np.arange(m + odd) + (0.0 if odd else 0.5))
+    s = math.pi / 2 * np.sinh(t)
+    mu = 1.0 - 2.0 / (np.exp(2.0 * s) + 1.0)  # tanh s, rounded once near 1
+    w = h * math.pi / 2 * np.cosh(t) / np.cosh(s) ** 2
+    return AngularGrid(np.concatenate((-mu[odd:][::-1], mu)), np.concatenate((w[odd:][::-1], w)))
 
 
 def secular_sum(S, grid):
@@ -164,29 +136,38 @@ def secular_sum(S, grid):
     up to w mu^2 / (S^2 - mu^2), and the sum is taken as
     sum_{mu > 0} [w mu / (S - mu)] [mu / (S + mu)]: every term is
     positive, nothing cancels at large S, nothing overflows, and S - mu
-    is still formed directly near the band edge.  A non-finite S raises
-    InvalidArgumentError, and |S| <= mu_max DomainError.
+    is formed as (|S| - mu_max) + (mu_max - mu), exact near the band edge.
+    A non-finite S raises InvalidArgumentError, and |S| <= mu_max
+    DomainError.
 
     For S outside [-1, 1] it converges geometrically to the continuum
-    kernel as the grid grows, down to a rounding floor of a few ulps of
-    F(S) (at most 16 ulp for S = 1.5 on the grids of build_angular_grid
-    from 32 to 400 nodes).  Below that floor the error is rounding noise:
-    no ordering in the grid size is promised.
+    kernel as the grid grows, from 1.6e-5 at 16 nodes to 5e-15 at 40 for
+    S = 1.5, down to a rounding floor of a few ulps of F(S) (at most 16 ulp
+    for S = 1.5 on the grids of build_angular_grid from 48 to 794 nodes).
+    Below that floor the error is rounding noise: no ordering in the grid
+    size is promised.  Near the band edge the rule also leaves out the
+    measure beyond its top node, about (1 - mu_max) / (S^2 - 1): 2.4e-15
+    at the A = 1 root on 400 nodes.
     """
-    return float(_even_terms(S, grid)[0].sum())
-
-
-def _even_terms(S, grid, scale=0):
-    import numpy as np
-    # the terms of secular_sum over mu > 0, times 2^scale, with S - mu and S + mu;
-    # the power of two is exact, and applied before the second factor it keeps
-    # normal the terms of order 1/A near the root, subnormal from A ~ 1e300 unscaled
     S = _require_finite("S", S)
-    if abs(S) <= grid.nodes[-1]:
+    mu_max = float(grid.nodes[-1])
+    if abs(S) <= mu_max:
         raise DomainError(f"secular sum defined for |S| > mu_max only, got {S!r}")
+    return float(_even_terms(abs(S) - mu_max, grid)[0].sum())
+
+
+def _even_terms(excess, grid, scale=0):
+    import numpy as np
+    # the terms of secular_sum over mu > 0 at S = mu_max + excess, times 2^scale,
+    # with S - mu and S + mu.  S - mu is formed as excess + (mu_max - mu), exact
+    # for mu >= mu_max/2, so near the band edge the terms follow an excess that
+    # S itself would round away.  The power of two is exact, and applied before
+    # the second factor it keeps normal the terms of order 1/A near the root,
+    # subnormal from A ~ 1e300 unscaled
     half = grid.size // 2  # an odd grid's node 0 adds nothing
     mu = grid.nodes[half:]
-    below, above = S - mu, S + mu
+    mu_max = mu[-1]
+    below, above = excess + (mu_max - mu), (mu_max + excess) + mu
     return np.ldexp(grid.weights[half:] * mu / below, scale) * (mu / above), below, above
 
 
@@ -196,10 +177,13 @@ def discrete_collective_root(coupling, grid):
     The secular function decreases monotonically from +inf at the largest
     node to 0 at infinity, so the root is unique; the shared solve
     _roots.edge_root finds it in w = ln(S - mu_max), on the slope of the
-    even form of secular_sum, about 9 sums per root at N = 400 for A in
-    [0.05, 100].  The root stays within 2e-15 relative of the continuum
-    root from A = 1 up to the largest float at N = 400.  At weak coupling a
-    root within half an ulp of mu_max comes back as the next float above it.
+    even form of secular_sum, taken at S = mu_max + e^w before S is
+    rounded, so the residual is not flat between floats near mu_max: about
+    5 sums per root at N = 400 for A in [0.05, 100].  At N = 400 the root
+    is above 1 and within 4.0e-7 of S - 1 of the continuum root from A = 0.1
+    (within 6.4e-13 from A = 0.3), and within 2e-15 relative from A = 1 up
+    to the largest float.  At weak coupling a root within half an ulp of
+    mu_max comes back as the next float above it.
     """
     c = as_coupling(coupling)
     if c.A <= 0.0:
@@ -209,19 +193,21 @@ def discrete_collective_root(coupling, grid):
     mu_max = float(grid.nodes[-1])
 
     def h(w):
-        # 1 - A secular_sum(S) and its slope in w, a sum of positive terms
+        # 1 - A secular_sum(S) at S = mu_max + e^w, not rounded to a float, and
+        # its slope in w, a sum of positive terms
         # 2 A [w mu^2/(S^2 - mu^2)] [e^w/(S - mu)] [S/(S + mu)], with the terms
         # scaled by 2^k and A by 2^-k
-        S = mu_max + math.exp(w)
-        if S == mu_max:  # rounded onto the top node, where the limit is +inf
+        u = math.exp(w)
+        S = mu_max + u
+        if S == mu_max:  # rounds onto the top node: the root is the next float up
             return -math.inf, math.nan
-        terms, below, above = _even_terms(S, grid, k)
-        return 1.0 - m * float(terms.sum()), 2.0 * m * float(terms @ ((S - mu_max) / below * (S / above)))
+        terms, below, above = _even_terms(u, grid, k)
+        return 1.0 - m * float(terms.sum()), 2.0 * m * float(terms @ (u / below * (S / above)))
 
-    # a low estimate of S - mu_max: where the top node's term alone reaches 1/A, or 2 ulps
-    aw = a * float(grid.weights[-1])
-    top = aw * mu_max / (1.0 + math.sqrt(1.0 + aw))
-    low = math.log(max(top, sys.float_info.epsilon))
+    # the search starts at least 2 ulps above mu_max; on the graded grid the
+    # top nodes resolve the logarithm of the kernel, so edge_root's weak
+    # estimate ln(S - mu_max) = ln 2 - 2 - 2/A fits below A ~ 0.3
+    low = math.log(sys.float_info.epsilon)
     return edge_root(h, a, mu_max, low, "ln(S - mu_max)")[0]
 
 
