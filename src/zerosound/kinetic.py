@@ -53,9 +53,9 @@ __all__ = [
 
 BACKEND = "numpy"  # the one evolution path, _rk4_trace below
 
-# size ceilings, checked before anything is allocated: the grid is built in
-# closed form, O(N) (about 2.5 ms at the ceiling), and the trace of
-# MAX_STEPS steps holds 256 MiB before its transform, zero-padded to at least 4x
+# size ceilings, checked before anything is allocated: the grid is built in closed form, O(N)
+# (2.5 ms at the ceiling); a step holds 16 B of trace, 8 more to scale it back and about 88 in
+# the spectrum (window 8, real transform 32 and its scratch 32, magnitudes 16): 1.7 GB at MAX_STEPS
 MAX_GRID_SIZE = 2**16
 MAX_STEPS = 2**24
 
@@ -179,11 +179,11 @@ def discrete_collective_root(coupling, grid):
     _roots.edge_root finds it in w = ln(S - mu_max), on the slope of the
     even form of secular_sum, taken at S = mu_max + e^w before S is
     rounded, so the residual is not flat between floats near mu_max: about
-    5 sums per root at N = 400 for A in [0.05, 100].  At N = 400 the root
+    6 sums per root at N = 400 for A in [0.05, 100].  At N = 400 the root
     is above 1 and within 4.0e-7 of S - 1 of the continuum root from A = 0.1
     (within 6.4e-13 from A = 0.3), and within 2e-15 relative from A = 1 up
-    to the largest float.  At weak coupling a root within half an ulp of
-    mu_max comes back as the next float above it.
+    to the largest float.  A root below the next float above mu_max (A below
+    0.0555 at N = 400) comes back as that float, after one sum.
     """
     c = as_coupling(coupling)
     if c.A <= 0.0:
@@ -204,6 +204,9 @@ def discrete_collective_root(coupling, grid):
         terms, below, above = _even_terms(u, grid, k)
         return 1.0 - m * float(terms.sum()), 2.0 * m * float(terms @ (u / below * (S / above)))
 
+    # a root below the first float above mu_max is that float: one sum decides it
+    if a * float(_even_terms(math.nextafter(mu_max, 2.0) - mu_max, grid, 0)[0].sum()) <= 1.0:
+        return math.nextafter(mu_max, 2.0)
     # the search starts at least 2 ulps above mu_max; on the graded grid the
     # top nodes resolve the logarithm of the kernel, so edge_root's weak
     # estimate ln(S - mu_max) = ln 2 - 2 - 2/A fits below A ~ 0.3
@@ -271,11 +274,13 @@ def stability_bound(coupling):
 
 def _unit_scale(x):
     import numpy as np
-    # x = 2^e u with the largest real or imaginary part of u in [0.5, 1) (e = 0
-    # for x = 0): a power-of-two scaling is exact, so the linear evolution and
+    # scales x in place to u = 2^-e x, whose largest real or imaginary part is in [0.5, 1)
+    # (e = 0 for x = 0): a power-of-two scaling is exact, so the linear evolution and
     # transform run on u, where nothing overflows, and only results scale back
-    e = math.frexp(float(np.max(np.abs(x.view(np.float64)))))[1]
-    return np.ldexp(x.view(np.float64), -e).view(np.complex128), e
+    f = x.view(np.float64)
+    e = math.frexp(float(max(f.max(), -f.min())))[1]
+    np.ldexp(f, -e, out=f)
+    return e
 
 
 def _scale_back(what, x, e):
@@ -284,7 +289,7 @@ def _scale_back(what, x, e):
     if math.frexp(largest)[1] + e > sys.float_info.max_exp:
         raise NumericalBlowupError(f"{what} {largest!r} * 2**{e} exceeds the float range; "
                                    "a smaller initial amplitude avoids it")
-    return np.ldexp(x.view(np.float64), e).view(x.dtype)
+    return np.ldexp(x.view(np.float64), e, out=x.view(np.float64)).view(x.dtype)  # in place
 
 
 def _block_size(n):
@@ -293,73 +298,82 @@ def _block_size(n):
     return min(128, max(1, 2**20 // (32 * (n - n // 2))))
 
 
+def _aligned_empty(shape):
+    import numpy as np
+    # complex, on a 64-byte boundary (numpy aligns to 16): the block products ran 1.4x slower at 16-48
+    raw = np.empty(2 * math.prod(shape) + 7)
+    raw = raw[-raw.__array_interface__["data"][0] % 64 // 8 :]
+    return raw[: 2 * math.prod(shape)].view(np.complex128).reshape(shape)
+
+
 def _rk4_trace(y, mu, w, a, dt, steps):
     import numpy as np
-    # dy/dt = L y, (L y)_i = -i mu_i (y_i + a <y>), <y> = (1/2) sum_j w_j y_j.
-    # P conj(L) P = L for the mirror P: mu -> -mu (AngularGrid checks it), so
-    # y = s + i x, s = (y + P conj y)/2, x = (y - P conj y)/(2i), splits into
-    # two parts with F(-mu) = conj F(mu), each run on the mu >= 0 half, where
-    # <q> = Re(v . q) (v = w, and w/2 at mu = 0) and a row t stands for
-    # Re(t . q); a part that is exactly 0 stays 0 and is not run.  There
-    # hL = diag(z) + (h u) v, z = -i h mu, h u = a z, and the RK4 step of the
-    # constant L is M = R(hL) = diag(d) + U C (R(x) = sum_{k<=4} x^k/k!,
-    # d = R(z), U_p = z^p (h u), C_p = sum_{k=p+1..4} v (hL)^(k-1-p) / k!), so
-    # t M = t d + Re(t U) C; the stability bound keeps every factor O(1).  A
-    # block of B steps starts from q with the Krylov columns Q_j = (hL)^j q =
-    # z^j q + sum_{i<j} Re(v (hL)^i q) U_(j-1-i) (j < 4).  M commutes with hL,
-    # so S[m, j] = Re(v M^m Q_j), from the rows conj(v M^m) in Fv, holds the
-    # samples (j = 0) and C_p M^m q = sum_j S[m, j] / (p+j+1)!: q moves on by
-    # M^B q = d^B q + sum_{m<B} d^(B-1-m) U C M^m q = d^B q + sum_j V_j (S^T D)_j,
-    # with D the rows d^(B-1-m) and V_j = sum_{p<=3-j} U_p / (p+j+1)!.  One
-    # B-step loop writes both, Fv by conj(t M) = conj(t) conj(d) +
-    # Re(conj(U) conj(t)) conj(C).  Products run on float64 views, 4 columns a
-    # part.  d and d^B enter as d - 1 and d^B - 1 (e and x), added last as the
-    # RK4 stages add to y: a rounded d ~ 1 would drift the amplitude by half
-    # an ulp per step.
+    # dy/dt = L y, (L y)_i = -i mu_i (y_i + a <y>), <y> = (1/2) sum_j w_j y_j, as the
+    # README derives it ("Numerical approach").  y = s + i x splits into two parts with
+    # F(-mu) = conj F(mu), each run on the mu >= 0 half, where <q> = Re(v . q) (v = w,
+    # and w/2 at mu = 0) and a row t stands for Re(t . q); a part that is 0 is not run.
+    # There hL = diag(z) + (h u) v, z = -i h mu, h u = a z, and the RK4 step is
+    # M = diag(d) + U C, d = R(z), U_p = z^p (h u), C_p = sum_{k>p} v (hL)^(k-1-p) / k!.
+    # A block of B steps takes the Krylov columns Q_j = (hL)^j q, S[m, j] =
+    # Re(v M^m Q_j) from the rows Fv = conj(v M^m) (samples at j = 0), and M^B q =
+    # d^B q + sum_j V_j (S^T D)_j, D the rows d^(B-1-m), V_j = sum_{p<=3-j} U_p / (p+j+1)!,
+    # as products of float64 views.  d^m enters as d^m - 1 (e, x), added last as the
+    # RK4 stages add to y: a rounded d ~ 1 would drift the amplitude half an ulp a step.
     h = mu.shape[0] // 2
     mirror = np.conj(y[::-1])[h:]
     Y = np.stack(((y[h:] + mirror) / 2.0, (y[h:] - mirror) / 2j))
-    parts = np.flatnonzero(Y.any(axis=1))
+    parts = slice(int(not Y[0].any()), 1 + int(Y[1].any()))  # the rows not exactly 0
     Y = Y[parts]
     v = w[h:] / np.where(mu[h:] == 0.0, 2.0, 1.0)
     z = dt * (-1j * mu[h:])
     e = z * (1.0 + z / 2.0 * (1.0 + z / 3.0 * (1.0 + z / 4.0)))  # d - 1
-    cols, powers, rows = [a * z], [np.ones_like(z)], [v]  # U_p, z^j, v (hL)^i
+    U, rows = [a * z], [v]  # U_p, v (hL)^i
     for _ in range(3):
-        cols.append(z * cols[-1])
-        powers.append(z * powers[-1])
-        rows.append(rows[-1] * z + (rows[-1] @ cols[0]).real * v)
-    U, Z = np.array(cols), np.array(powers)
-    C = np.array([sum(rows[k - 1 - p] / math.factorial(k) for k in range(p + 1, 5))
-                  for p in range(4)])
-    V = np.array([sum(U[p] / math.factorial(p + j + 1) for p in range(4 - j)) for j in range(4)])
-    K = np.array([[U[j - 1 - i] if j > i else np.zeros_like(z) for j in range(4)]
-                  for i in range(3)])  # K[i, j] = U_(j-1-i)
-    K = K.view(np.float64).reshape(3, -1)
-    vh = np.conj(rows[:3]).view(np.float64).T  # the rows v (hL)^i, as columns
-
-    b = _block_size(mu.shape[0])
-    Fv = np.empty((b, v.shape[0]), dtype=np.complex128)
-    D = np.empty_like(Fv)
-    t, x = np.conj(v.astype(np.complex128)), np.zeros_like(z)  # conj(v M^m), d^m - 1
-    e_c, U_c, C_c = np.conj(e), np.conj(U), np.conj(C)
-    for m in range(b):
-        Fv[m], D[b - 1 - m] = t, 1.0 + x
-        t = t + (t * e_c + (U_c @ t).real @ C_c)
-        x = x + e * (1.0 + x)
-    Fv, D = Fv.view(np.float64), D.view(np.float64)
-
-    total = steps + 1
-    samples = np.empty((parts.shape[0], total))
-    for start in range(0, total, b):
-        r = Y.view(np.float64) @ vh  # Re(v (hL)^i q), a row per part
-        Q = Z * Y[:, None] + (r @ K).view(np.complex128).reshape(-1, *Z.shape)
-        S = Q.view(np.float64).reshape(-1, Fv.shape[1]) @ Fv.T  # S^T, the rows [part, j]
-        samples[:, start : start + b] = S[::4, : total - start]
-        X = (S @ D).view(np.complex128).reshape(-1, *Z.shape) * V  # V_j (S^T D)_j
-        Y = Y + (x * Y + X[:, ::-1].sum(axis=1))  # the smaller terms of higher j first
-    trace = np.zeros((total, 2))  # the rows [<s>, <x>]; a part not run reads +0.0
-    trace[:, parts] = samples.T
+        U.append(z * U[-1])
+        rows.append(rows[-1] * z + (rows[-1] @ U[0]).real * v)
+    U, rows = np.array(U), np.array(rows)
+    F = np.array([[(i + j < 4) / math.factorial(i + j + 1) for i in range(4)] for j in range(4)])
+    total, b, P, n = steps + 1, _block_size(mu.shape[0]), Y.shape[0], z.shape[0]
+    trace = np.zeros((total, 2))  # the rows [<s>, <x>], +0.0 for a part not run; made before the tables
+    # Fv by k rows after a row t (README): row j + 1 is t c^(j+1) + sum_{l<=j} r_l conj(C) c^(j-l),
+    # c = conj(d), r_l = Re(conj(U) . row l) = (R t)_l, gathered by ix (a 0 after r where j < l)
+    k, xk = 8, [np.zeros_like(e)]  # d^j - 1, j <= k
+    for _ in range(k):
+        xk.append(xk[-1] + e * (1.0 + xk[-1]))
+    xk, dk = np.array(xk), 1.0 + np.array(xk[:k])[:, None]
+    Bf = np.conj((F @ rows) * dk).view(np.float64).reshape(4 * k, -1)  # conj(C_p) c^q, C = F rows
+    R = (U * dk).view(np.float64).reshape(4 * k, -1)  # Re(conj(U_p) c^j .), then by the 4x4 kernels
+    G = (Bf @ U.view(np.float64).T).reshape(k, 4, 4).transpose(2, 0, 1)  # G_q = Re(conj(U) . B_q)
+    for j in range(1, k):
+        R[4 * j : 4 * j + 4] += G[:, j - 1 :: -1].reshape(4, 4 * j) @ R[: 4 * j]
+    ix = np.fromfunction(lambda j, c: np.where(c < 4 * j + 4, 4 * j - c + 2 * (c % 4), 4 * k),
+                         (k, 4 * k), dtype=int)  # [j, 4 q + p]: r_(j-q)
+    Fv, r, xc = _aligned_empty((b, n)), np.zeros(4 * k + 1), np.conj(xk[1:])
+    Fv[0] = v
+    for m in range(0, b - 1, k):
+        t, out = Fv[m], Fv[m + 1 : m + 1 + k]
+        np.matmul(R, t.view(np.float64), out=r[:-1])
+        np.add(t, t * xc[: len(out)] + (r[ix[: len(out)]] @ Bf).view(np.complex128), out=out)
+    del R, Bf, dk
+    D, x = _aligned_empty((b, n)), xk[0]
+    for m in range(0, b, k):  # x = d^m - 1, D[b - 1 - m] = d^m
+        xs, i = x + xk * (1.0 + x), min(k, b - m)  # d^(m+j) - 1, j = 0..k
+        np.add(1.0, xs[:i][::-1], out=D[b - m - i : b - m])
+        x = xs[i]
+    Z, V, FvT = np.cumprod([np.ones_like(z), z, z, z], axis=0), F @ U, Fv.view(np.float64).T  # z^j, V_j
+    K = np.array([np.concatenate((np.zeros((i + 1, n)), U[: 3 - i])) for i in range(3)])  # [i, j]: U_(j-1-i)
+    K, vh = K.view(np.float64).reshape(3, -1), np.conj(rows[:3]).view(np.float64).T  # vh: v (hL)^i
+    (Qf, Xf, QKf), S, yx, ys = np.empty((3, 4 * P, 2 * n)), np.empty((4 * P, b)), Y * 0, Y * 0
+    (Q, X, QK), QKf = (f.view(np.complex128).reshape(P, 4, n) for f in (Qf, Xf, QKf)), QKf.reshape(P, 8 * n)
+    Yf, Yc, Xr, S0, D = Y.view(np.float64), Y[:, None], X[:, ::-1], S[::4].T, D.view(np.float64)
+    for start in range(0, total, b):  # buffers and views made once: a numpy call costs about 1 us
+        np.matmul(Yf @ vh, K, out=QKf)  # Re(v (hL)^i q) K
+        np.add(np.multiply(Z, Yc, out=Q), QK, out=Q)
+        np.matmul(Qf, FvT, out=S)  # S^T, the rows [part, j]
+        trace[start : start + b, parts] = S0[: total - start]
+        np.matmul(S, D, out=Xf)
+        X *= V  # V_j (S^T D)_j
+        Y += np.add(np.multiply(x, Y, out=yx), Xr.sum(axis=1, out=ys), out=yx)  # higher j first
     return trace.view(np.complex128)[:, 0]
 
 
@@ -367,16 +381,15 @@ def evolve_initial_value(coupling, grid, initial, dt, steps):
     """Integrate the node amplitudes with classical RK4, tracing <F>(t).
 
     Returns steps + 1 samples including the initial instant.  dt must not
-    exceed stability_bound(coupling), and steps must lie in
-    [2, MAX_STEPS]; a violation is rejected up front.  The run is at unit
-    scale: a state times 2^k gives the trace times 2^k, bit for bit, and
-    NumericalBlowupError means that this trace leaves the float range.
-    The step's factors are built from h L, which the stability bound keeps
-    O(1), so they stay finite at every finite A.  The state's two parts with
-    F(-mu) = conj F(mu) run on the mu >= 0 half grid with a real <F> (such a
-    state's trace has imaginary part exactly +0.0), in blocks of products of
-    4 Krylov columns a part; a part that is exactly 0 is not run.  The
-    trace agrees with the four-stage RK4 loop to rounding.
+    exceed stability_bound(coupling), and steps must lie in [2, MAX_STEPS];
+    a violation is rejected up front.  The run is at unit scale: a state
+    times 2^k gives the trace times 2^k, bit for bit, and NumericalBlowupError
+    means that this trace leaves the float range.  The step's factors are
+    built from h L, which the stability bound keeps O(1), so they stay finite
+    at every finite A.  The state's two parts with F(-mu) = conj F(mu) run on
+    the mu >= 0 half grid with a real <F> (such a state's trace has imaginary
+    part exactly +0.0), in blocks; a part that is exactly 0 is not run.  The
+    trace, the series' own read-only array, agrees with four-stage RK4 to rounding.
     """
     c = as_coupling(coupling)
     dt = _require_positive("dt", dt)
@@ -386,9 +399,12 @@ def evolve_initial_value(coupling, grid, initial, dt, steps):
     steps = _require_count("steps", steps, 2, "MAX_STEPS", MAX_STEPS)
     if initial.values.shape[0] != grid.size:
         raise InvalidArgumentError(f"state has {len(initial.values)} values for a grid of {grid.size}")
-    y, e = _unit_scale(initial.values)
-    trace = _rk4_trace(y, grid.nodes, grid.weights, c.A, dt, steps)
-    return TimeSeries(dt=dt, samples=_scale_back("trace modulus", trace, e))
+    e = _unit_scale(y := initial.values.copy())
+    trace = _scale_back("trace modulus", _rk4_trace(y, grid.nodes, grid.weights, c.A, dt, steps), e)
+    trace.setflags(write=False)
+    series = TimeSeries.__new__(TimeSeries)  # built and checked here: not copied again
+    series.__dict__.update(dt=dt, samples=trace)
+    return series
 
 
 @_record
@@ -419,16 +435,17 @@ def spectral_peak(series):
     """Locate the collective line at omega > 1 in an evolved trace.
 
     The signal rotates as exp(-i omega t), so the conjugate spectrum of the
-    Hann-windowed trace is searched between the continuum edge and Nyquist.
+    Hann-windowed trace, fft(conj x) = rfft(re x) - i rfft(im x) up to Nyquist,
+    is searched above the continuum edge: one real FFT for each part of the
+    trace that is not exactly 0, so one for a real trace such as the CLI's.
     The grid maximum is refined by quadratic interpolation of log magnitude
-    over three bins (on a transform zero-padded to at least 4x), and
-    must both rise a factor 4 above the flat-spectrum level and sit
-    strictly inside the search band; otherwise no collective peak is
-    declared.  bin_width reports the resolution 2 pi / (dt n) of the
-    unpadded record.  Transform and interpolation run at unit scale, so the
-    frequency does not depend on the amplitude of the trace and the peak
-    amplitude scales with it, from subnormal samples up; a peak amplitude
-    above the float range raises NumericalBlowupError.
+    over three bins (on a transform zero-padded to at least 4x), and must both
+    rise a factor 4 above the flat-spectrum level and sit strictly inside the
+    search band; otherwise no collective peak is declared.  bin_width reports
+    the resolution 2 pi / (dt n) of the unpadded record.  Transform and
+    interpolation run at unit scale, so the frequency does not depend on the
+    amplitude of the trace and the peak amplitude scales with it, from
+    subnormal samples up; one above the float range raises NumericalBlowupError.
     """
     import numpy as np
     x = series.samples
@@ -436,31 +453,34 @@ def spectral_peak(series):
     if n < 64:
         raise InvalidArgumentError(f"need at least 64 samples, got {n}")
     dt = series.dt
-    xw, e = _unit_scale(x * np.hanning(n))
-
     n_pad = _padded_length(n)
+    xw = np.array([part for part in (x.real, x.imag) if part.any()] or [x.real])
+    xw *= np.hanning(n)
+    e = _unit_scale(xw)
+
     # energy of a flat spectrum: every padded bin of pure noise sits near
     # E / sqrt(n_pad) on average, and sum |X_k|^2 = n_pad sum |x_j|^2, so
     # a genuine line must clear a fixed multiple of the rms level; at unit
     # scale no |x_j|^2 overflows, and the largest does not underflow
-    energy = math.sqrt(float(np.sum(np.abs(xw) ** 2)))
+    energy = math.sqrt(float(np.vdot(xw, xw)))
     if energy == 0.0:
         raise NoCollectivePeakError("signal is identically zero")
-    mag = np.abs(np.fft.fft(np.conj(xw), n=n_pad)) / math.sqrt(n_pad)
     d_omega = 2.0 * math.pi / (n_pad * dt)
-
     k_min = int(math.floor(1.0 / d_omega)) + 1  # first bin strictly above the band
     k_max = n_pad // 2  # Nyquist
     if k_max - k_min < 3:
         raise InvalidArgumentError(f"no searchable band above the continuum at dt = {dt!r}")
 
-    j = k_min + int(np.argmax(mag[k_min:k_max]))
+    # fft(conj(x))[k] = rfft(re x)[k] - i rfft(im x)[k] for k <= n_pad/2: |fft| at k_min - 1 to k_max - 1
+    spectrum = np.fft.rfft(xw, n_pad)[:, k_min - 1 : k_max]
+    mag = np.abs(spectrum[0] - 1j * spectrum[1] if len(xw) == 2 else spectrum[0])
+    j = k_min + int(np.argmax(mag[1:]))
     # a leakage skirt from the band below rolls off monotonically, putting
     # its maximum on the band edge; a real line is an interior maximum
     if j == k_min or j >= k_max - 1:
         raise NoCollectivePeakError("no interior maximum above the continuum band")
-    peak = _scale_back("peak amplitude", mag[j : j + 1], e).item()
-    la, lb, lg = mag[j - 1 : j + 2].tolist()
+    la, lb, lg = (mag[j - k_min : j - k_min + 3] / math.sqrt(n_pad)).tolist()
+    peak = _scale_back("peak amplitude", np.array([lb]), e).item()
     if lb <= _FLOOR_FACTOR * energy / math.sqrt(n_pad):
         raise NoCollectivePeakError(
             f"band maximum {peak!r} does not clear the noise floor at omega = {j * d_omega!r}"

@@ -7,7 +7,7 @@ from decimal import Decimal
 import numpy as np
 import pytest
 from conftest import run_python
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import zerosound
 from zerosound import (
@@ -30,7 +30,7 @@ from zerosound import (
     spectral_peak,
     stability_bound,
 )
-from zerosound.kinetic import _block_size, _padded_length
+from zerosound.kinetic import _aligned_empty, _block_size, _padded_length
 
 
 def _four_stage_rk4_trace(y, mu, half_w, a, dt, steps):
@@ -304,6 +304,20 @@ class TestDiscreteCollectiveRoot:
             discrete_collective_root(float(a), _GRID_400)
         assert len(calls) <= 10 * len(couplings)
 
+    def test_a_root_below_the_first_float_takes_one_sum(self, monkeypatch):
+        # below A = 0.0555 at N = 400 the root lies between the top node and
+        # the next float, which is returned; one residual there decides it,
+        # where the search used to bisect toward the top node for 24 to 60 sums
+        calls = []
+        terms = zerosound.kinetic._even_terms
+        monkeypatch.setattr(zerosound.kinetic, "_even_terms",
+                            lambda S, grid, scale=0: calls.append(S) or terms(S, grid, scale))
+        first = math.nextafter(float(_GRID_400.nodes[-1]), 2.0)
+        for a in np.linspace(0.03, 0.0555, 100):
+            calls.clear()
+            assert discrete_collective_root(float(a), _GRID_400) == first
+            assert len(calls) <= 3
+
     @given(exponent=st.floats(min_value=-1.0, max_value=2.0))
     @example(exponent=-1.0)  # A = 0.1: 4.0e-7 of S - 1 = 5.6e-10 low
     @example(exponent=math.log10(0.2))  # 1.8e-11 of S - 1 = 1.2e-5 low
@@ -441,6 +455,21 @@ class TestEvolve:
         assert not state.values.flags.writeable and not series.samples.flags.writeable
         a[0] = 2.0
         assert state.values[0] == 1.0 and series.samples[0] == 1.0
+
+    def test_the_trace_is_read_only_and_a_valid_series(self):
+        g = build_angular_grid(16)
+        series = evolve_initial_value(1.0, g, AngularState(np.ones(16)), 0.05, 64)
+        assert not series.samples.flags.writeable
+        assert series == TimeSeries(dt=0.05, samples=series.samples)
+
+    @pytest.mark.parametrize("n", [4, 33, 128, 400, 1001, 4097])
+    def test_factor_tables_start_on_a_64_byte_boundary(self, n, monkeypatch):
+        tables = []
+        monkeypatch.setattr(zerosound.kinetic, "_aligned_empty",
+                            lambda shape: tables.append(_aligned_empty(shape)) or tables[-1])
+        evolve_initial_value(1.0, build_angular_grid(n), AngularState(np.ones(n)), 0.05, 2)
+        assert [table.shape for table in tables] == [(_block_size(n), n - n // 2)] * 2  # Fv, D
+        assert all(table.__array_interface__["data"][0] % 64 == 0 for table in tables)
 
     def test_steps_ceiling(self):
         assert MAX_STEPS >= 2**23
@@ -734,6 +763,74 @@ class TestSpectralPeak:
         k_min = int(math.floor(1.0 / d_omega)) + 1
         j = k_min + int(np.argmax(mag[k_min : n_pad // 2]))
         assert abs(peak.frequency - j * d_omega) <= (0.5 + 1e-12) * d_omega
+
+
+def _complex_transform_line(x, dt):
+    """Padded bin and frequency of the line from one complex FFT of the conjugate trace.
+
+    The transform spectral_peak used before it took one real FFT per part of
+    the trace: the reference for it.  None where the maximum is on an edge.
+    """
+    n = x.shape[0]
+    xw = (x * np.hanning(n)).view(np.float64)
+    xw = np.ldexp(xw, -math.frexp(float(np.max(np.abs(xw))))[1]).view(np.complex128)
+    n_pad = _padded_length(n)
+    mag = np.abs(np.fft.fft(np.conj(xw), n=n_pad)) / math.sqrt(n_pad)
+    d_omega = 2.0 * math.pi / (n_pad * dt)
+    k_min, k_max = int(math.floor(1.0 / d_omega)) + 1, n_pad // 2
+    j = k_min + int(np.argmax(mag[k_min:k_max]))
+    if j == k_min or j >= k_max - 1 or min(mag[j - 1], mag[j + 1]) <= 0.0:
+        return None
+    la, lb, lg = (math.log(m) for m in mag[j - 1 : j + 2])
+    denom = la - 2.0 * lb + lg
+    return j, (j + (0.5 * (la - lg) / denom if denom < 0.0 else 0.0)) * d_omega, d_omega
+
+
+@given(n=st.integers(64, 4096), omega=st.floats(0.0, 1.0), dt=st.floats(0.01, 0.5),
+       kind=st.sampled_from(["complex", "real", "imaginary -0.0"]), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_real_transforms_find_the_complex_transform_line(n, omega, dt, kind, seed):
+    rng = np.random.default_rng(seed)
+    nyquist = math.pi / dt
+    assume(nyquist > 1.1)
+    t = dt * np.arange(n)
+    x = np.exp(-1j * ((1.0 + (nyquist - 1.0) * omega) * t + rng.uniform(0.0, 2.0 * math.pi)))
+    x += rng.uniform(0.0, 0.5) * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    if kind != "complex":  # one part: a real trace, its imaginary part +0.0 or -0.0
+        x = x.real.astype(np.complex128)
+        x.imag = -0.0 if kind == "imaginary -0.0" else 0.0
+    reference = _complex_transform_line(x, dt)
+    assume(reference is not None)
+    j, frequency, d_omega = reference
+    try:
+        peak = spectral_peak(TimeSeries(dt=dt, samples=x))
+    except NoCollectivePeakError:  # below the floor, which the reference does not test
+        return
+    assert round(peak.frequency / d_omega) == j
+    assert peak.frequency == pytest.approx(frequency, rel=1e-12, abs=0.0)
+
+
+def test_evolution_and_spectral_peak_stay_within_their_memory_budgets():
+    # peak traced bytes at N = 400 and 16384 steps, measured as here with numpy
+    # 2.4: 1.291 MiB and 0.874 MiB, against 1.378 MiB and 1.752 MiB for the
+    # complex transform and the evolution before it; bounds 3% and 5% up.  numpy
+    # 1.x pads the input of rfft with a copy of its 65610 floats; the bound adds it
+    import tracemalloc
+    g, state, dt = build_angular_grid(400), AngularState(np.ones(400)), stability_bound(1.0)
+    spectral_peak(evolve_initial_value(1.0, g, state, dt, 16384))  # numpy's lazy imports
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        series = evolve_initial_value(1.0, g, state, dt, 16384)
+        evolution = tracemalloc.get_traced_memory()[1] - base
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        spectral_peak(series)
+        spectrum = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert evolution <= 1.33 * 2**20
+    assert spectrum <= 0.92 * 2**20 + (8 * 65610 if int(np.__version__.split(".")[0]) < 2 else 0)
 
 
 def _isotropic_peak(amplitude):
