@@ -21,6 +21,10 @@ from .dispersion import (
     solve_zero_sound,
 )
 from .errors import IOFailureError, ZeroSoundError
+
+# loaded with the CLI although solve and scan do not use it: perfbench's traced
+# run (layers.py, Tracer.prepare) expects zerosound.kinetic in sys.modules once
+# zerosound.cli is imported
 from .kinetic import (
     AngularState,
     build_angular_grid,
@@ -81,6 +85,27 @@ def _json_object(fields):
         else f'"{key}":{_json_value(value)}'
         for key, value in fields.items()
     ]) + "}"
+
+
+# a DispersionPoint as _json_object(point.to_json_dict()) writes it, for a point
+# whose numbers are finite floats; omega is the text null or one such number
+_POINT_JSON = ('{"k_lambda_d":%.17g,"Q0":%.17g,"A":%.17g,"S":%.17g,"S_minus_1":%.17g,'
+               '"log_excess":%.17g,"method":"%s","residual":%.17g,"omega":%s}')
+
+
+def _point_json(point):
+    """One dispersion point as a JSON object, the same bytes as _json_object gives."""
+    k, q0, a, s, excess, v, residual, omega = (point.k_lambda_d, point.Q0, point.A, point.S,
+                                               point.S_minus_1, point.log_excess, point.residual,
+                                               point.omega)
+    # seven floats whose sum is finite are each finite; a sum that overflows takes the general path
+    if (type(k) is type(q0) is type(a) is type(s) is type(excess) is type(v) is type(residual) is float
+            and math.isfinite(k + q0 + a + s + excess + v + residual)
+            and (omega is None or type(omega) is float and math.isfinite(omega))):
+        # the member's _value_: the Enum value property returns it through a Python call
+        return _POINT_JSON % (k, q0, a, s, excess, v, point.method._value_, residual,
+                              "null" if omega is None else "%.17g" % omega)
+    return _json_object(point.to_json_dict())
 
 
 def _write_text(path, text):
@@ -163,7 +188,7 @@ def run_solve(args):
     params = _load_params(args)
     if params is not None:
         point = point.with_omega(params)
-    sys.stdout.write(_json_object(point.to_json_dict()) + "\n")
+    sys.stdout.write(_point_json(point) + "\n")
     return 0
 
 
@@ -187,11 +212,10 @@ def _scan_rows(scan, model):
 
 def _scan_json(scan):
     g = scan.grid
-    return _json_object({
-        "grid": {"k_min": g.k_min, "k_max": g.k_max, "count": g.count, "spacing": g.spacing},
-        "points": [p.to_json_dict() for p in scan.points],
-        "failures": [{"k_lambda_d": k, "error": label} for k, label in scan.failures],
-    }) + "\n"
+    grid = _json_object({"k_min": g.k_min, "k_max": g.k_max, "count": g.count, "spacing": g.spacing})
+    points = ",".join(map(_point_json, scan.points))
+    failures = _json_value([{"k_lambda_d": k, "error": label} for k, label in scan.failures])
+    return f'{{"grid":{grid},"points":[{points}],"failures":{failures}}}\n'
 
 
 def run_scan(args):

@@ -67,6 +67,13 @@ class SolverConfig:
         _require_positive("tolerance", self.tolerance)
 
 
+# (2j, 2j + 1) for the terms j >= 2 of _kernel_series.  Its slowest point is
+# S = 2, where term j over the total is at most 12 / (4^j (2j + 1)): below
+# 2^-54 from j = 26 on, so the new term leaves the total unchanged there;
+# where the terms are subnormal the sum stops by j = 27.  30 is a margin.
+_SERIES_TERMS = tuple([(2.0 * j, 2.0 * j + 1.0) for j in range(2, 31)])
+
+
 def _kernel_series(S, a=1.0):
     # a F = sum_{j>=1} a S^-2j / (2j + 1) and -a dF/d(ln S), the same with 2j
     # times each term; fast for S >= 2, and a S^-2 stays normal for every float A
@@ -74,16 +81,15 @@ def _kernel_series(S, a=1.0):
     power = a / S / S
     total = power / 3.0
     slope = 2.0 * total
-    j = 2
-    while True:
+    for two_j, odd in _SERIES_TERMS:
         power *= t2
-        term = power / (2 * j + 1)
+        term = power / odd
         new_total = total + term
         if new_total == total:
-            return total, slope
+            break
         total = new_total
-        slope += 2 * j * term
-        j += 1
+        slope += two_j * term
+    return total, slope
 
 
 def _kernel_near_edge(u, ln_u):
@@ -126,8 +132,7 @@ def _residual_log(v, a):
 
 
 def _point(c, S, excess, log_excess, method, residual):
-    return DispersionPoint(k_lambda_d=c.k_lambda_d, Q0=c.Q0, A=c.A, S=S, S_minus_1=excess,
-                           log_excess=log_excess, method=method, residual=residual)
+    return DispersionPoint(c.k_lambda_d, c.Q0, c.A, S, excess, log_excess, method, residual, None)
 
 
 def _positive_coupling(coupling):

@@ -15,9 +15,11 @@ half of the grid) shares nothing.
 S and frequency are in continuum-edge units (time in 1/(k v_F)), so the
 collective line of the evolved signal sits at omega = S.
 
-numpy is imported on first use, inside each function that needs it:
-importing this module, and with it the package and the solve and scan
-commands, loads no numpy.
+numpy is imported on first use, inside each function that needs it, so
+importing this module loads no numpy.  The package itself imports this
+module only on first use of it or of one of its names; the CLI imports
+it with every command, solve and scan included, which then load it but
+no numpy.
 """
 
 from __future__ import annotations

@@ -31,6 +31,8 @@ __all__ = [
 
 
 def _require_finite(name, value):
+    if type(value) is float and math.isfinite(value):  # most calls: one test, the value as is
+        return value
     try:
         finite = math.isfinite(value)
     except OverflowError:  # an int or Fraction beyond the float range
@@ -93,18 +95,21 @@ def _record(cls):
 
     def __init__(self, *args, **kwargs):
         values = self.__dict__
-        values.update(defaults)
-        if args:
+        if kwargs or len(args) != len(names):
+            values.update(defaults)
+            if args:
+                values.update(zip(names, args))
+            values.update(kwargs)
+            if values.keys() != fields or (
+                args and (len(args) > len(names) or kwargs and not kwargs.keys().isdisjoint(names[: len(args)]))
+            ):
+                missing = ", ".join([name for name in names if name not in values])
+                raise TypeError(
+                    f"{cls.__qualname__}() takes the fields ({', '.join(names)}), got {len(args)} positional"
+                    f" values and the keywords ({', '.join(kwargs)})" + (f"; missing {missing}" if missing else "")
+                )
+        else:  # one value per field, in order, as most records are built: nothing to check
             values.update(zip(names, args))
-        values.update(kwargs)
-        if values.keys() != fields or (
-            args and (len(args) > len(names) or kwargs and not kwargs.keys().isdisjoint(names[: len(args)]))
-        ):
-            missing = ", ".join([name for name in names if name not in values])
-            raise TypeError(
-                f"{cls.__qualname__}() takes the fields ({', '.join(names)}), got {len(args)} positional"
-                f" values and the keywords ({', '.join(kwargs)})" + (f"; missing {missing}" if missing else "")
-            )
         if post_init is not None:
             post_init(self)
 
@@ -224,7 +229,7 @@ def coupling_strength(model, k_lambda_d):
     """Combine interaction and diffraction into A = Q0 + (3/4)(k lambda_d)^2."""
     k = _require_non_negative("k_lambda_d", k_lambda_d)
     a = model.Q0 + 0.75 * k * k
-    return CouplingStrength(A=a, k_lambda_d=k, Q0=model.Q0)
+    return CouplingStrength(a, k, model.Q0)
 
 
 def as_coupling(value):
@@ -317,7 +322,8 @@ class DispersionPoint:
     def with_omega(self, params):
         """Attach the physical frequency for the given parameter set."""
         omega = physical_frequency(self.S, self.k_lambda_d, params)
-        return self.__class__(**{**self.__dict__, "omega": omega})
+        return self.__class__(self.k_lambda_d, self.Q0, self.A, self.S, self.S_minus_1, self.log_excess,
+                              self.method, self.residual, omega)
 
 
 def physical_frequency(S, k_lambda_d, params):

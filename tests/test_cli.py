@@ -23,6 +23,7 @@ from zerosound import (
     AngularState,
     DispersionPoint,
     InteractionModel,
+    Method,
     SolverConfig,
     asymptotic_zero_sound,
     coupling_strength,
@@ -603,6 +604,34 @@ def test_cells_and_json_values_keep_their_bytes(value, cell, encoded):
     assert _json_value(value) == encoded
     assert _json_object({"k": value}) == f'{{"k":{encoded}}}'
     assert _json_value([value, {"n": value}]) == f'[{encoded},{{"n":{encoded}}}]'
+
+
+MAX = sys.float_info.max
+POINT_FIELDS = ("k_lambda_d", "Q0", "A", "S", "S_minus_1", "log_excess", "residual", "omega")
+# values the point template must pass on to _json_object, or render as it does: nan,
+# infinities, None, -0.0, subnormals, the ends of the float range (where a sum of the
+# fields overflows), and ints and bools, which are not floats
+SPECIAL_FIELD = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, None, -0.0, 5e-324, -5e-324,
+                     2.2250738585072009e-308, MAX, -MAX, math.nextafter(MAX, 0.0)]),
+    st.integers(),
+    st.booleans(),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.fixed_dictionaries({name: st.floats(allow_nan=False, allow_infinity=False)
+                                     for name in POINT_FIELDS}),
+       method=st.sampled_from(Method), special=SPECIAL_FIELD,
+       more=st.dictionaries(st.sampled_from(POINT_FIELDS), SPECIAL_FIELD, max_size=3))
+@example(values=dict.fromkeys(POINT_FIELDS, MAX), method=Method.EXACT, special=math.nan, more={})
+def test_the_point_template_writes_the_bytes_of_json_object(values, method, special, more):
+    # a point of finite fields, the same without omega, with each field in turn set
+    # to one special value, and with several fields set to special values
+    for fields in (values, {**values, "omega": None}, *({**values, name: special} for name in POINT_FIELDS),
+                   {**values, **more}):
+        point = DispersionPoint(**fields, method=method)
+        assert cli._point_json(point) == _json_object(point.to_json_dict()), fields
 
 
 class TestParserReuse:

@@ -128,6 +128,57 @@ class TestLandauKernel:
             assert f1 > f2
 
 
+def _kernel_series_loop(S, a=1.0):
+    """The series of dispersion._kernel_series as a while loop with integer
+    arithmetic, the reference the table-driven loop must match bit for bit.
+    Also returns the last j, whose term left the total unchanged."""
+    t2 = 1.0 / (S * S)
+    power = a / S / S
+    total = power / 3.0
+    slope = 2.0 * total
+    j = 2
+    while True:
+        power *= t2
+        term = power / (2 * j + 1)
+        new_total = total + term
+        if new_total == total:
+            return total, slope, j
+        total = new_total
+        slope += 2 * j * term
+        j += 1
+
+
+# a in every binade of the floats, from the smallest subnormal to the largest float
+EVERY_BINADE = [math.ldexp(m, e) for e in range(-1074, 1024) for m in (1.0, 1.3, 1.7)] + [sys.float_info.max]
+
+
+class TestKernelSeries:
+    def test_the_term_table_outlasts_the_series_at_s_2(self):
+        # S = 2 is the slowest point of the series that any caller passes
+        # (callers take it for S >= 2). There term j over the total is at most
+        # 12 / (4^j (2j + 1)), under 2^-54 from j = 26 on, so a term that size
+        # leaves the total unchanged whatever a is; rounding of subnormal terms
+        # adds at most one more. For every a up to the largest float, the last
+        # j the loop reaches is in the table, and the bits agree
+        last_j = 0
+        for a in EVERY_BINADE:
+            total, slope, j = _kernel_series_loop(2.0, a)
+            assert dispersion._kernel_series(2.0, a) == (total, slope), a
+            last_j = max(last_j, j)
+        assert last_j == 27
+        assert dispersion._SERIES_TERMS[last_j - 2] == (2.0 * last_j, 2.0 * last_j + 1.0)
+
+    @given(S=st.floats(min_value=2.0, max_value=1e300), a=st.floats(min_value=5e-324, max_value=sys.float_info.max))
+    @settings(max_examples=500, deadline=None)
+    @example(S=math.nextafter(2.0, 3.0), a=sys.float_info.max)
+    @example(S=3.0, a=5e-324)
+    @example(S=1e154, a=1.0)
+    def test_matches_the_while_loop_bit_for_bit(self, S, a):
+        total, slope = dispersion._kernel_series(S, a)
+        ref_total, ref_slope, _ = _kernel_series_loop(S, a)
+        assert (total.hex(), slope.hex()) == (ref_total.hex(), ref_slope.hex())
+
+
 class TestDispersionResidual:
     def test_free_gas_residual_is_one(self):
         for S in (1.5, 2.0, 7.0):

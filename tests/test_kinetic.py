@@ -625,6 +625,24 @@ class TestRuntimeDependencies:
         assert proc.stdout.split() == ["[]", "numpy", "False"]
         assert zerosound.BACKEND == "numpy"
 
+    def test_import_leaves_kinetic_to_its_first_use(self):
+        # the package serves kinetic's names on first use (PEP 562), so a bare
+        # import does not load, or compile, the oracles' module
+        probe = (
+            "import sys, zerosound; "
+            "loaded = 'zerosound.kinetic' in sys.modules; "
+            "grid = zerosound.build_angular_grid(8); "
+            "names = {}; exec('from zerosound import *', names); "
+            "listed = dir(zerosound); "
+            "print(loaded, grid.size, zerosound.BACKEND, "
+            "set(zerosound.__all__) <= set(names), "
+            "set(zerosound.kinetic.__all__) <= set(listed) and 'kinetic' in listed, "
+            "zerosound.kinetic.spectral_peak is zerosound.spectral_peak)"
+        )
+        proc = run_python("-c", probe)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "8", "numpy", "True", "True", "True"]
+
     @pytest.mark.parametrize("argv, numpy_loaded", [
         (["solve", "--Q0", "1"], False),
         (["scan", "--Q0", "1", "--k-min", "0.1", "--k-max", "1", "--points", "3"], False),
